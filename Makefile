@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet verify bench chaos chaos-sharded chaos-restart chaos-compact load-smoke lint-metrics
+.PHONY: all build test race vet verify bench chaos chaos-restart chaos-compact load-smoke lint-metrics
 
 all: verify
 
@@ -38,20 +38,13 @@ chaos:
 	$(GO) test -race -run Chaos -count=3 ./...
 	COSOFT_BATCH_LIMIT=8 $(GO) test -race -run Chaos -count=3 ./...
 
-# The same soak with four state shards forced on every harness server, so
-# fault injection also exercises cross-shard cleanup (dropClient fan-out,
-# migrated pending events) under the race detector. CI runs this as a
-# second matrix leg.
-chaos-sharded:
-	COSOFT_SHARDS=4 $(MAKE) chaos
-
 # Kill-and-restart soak for the durable event log: a server with an always-sync
 # log is restarted repeatedly under live traffic while the clients ride through
 # on session resume; afterwards the log must hold every acknowledged event.
-# Runs race-checked, plain and with shards + batching forced.
+# Runs race-checked, plain and with batching forced.
 chaos-restart:
 	$(GO) test -race -run ChaosRestart -count=3 ./internal/server/
-	COSOFT_SHARDS=4 COSOFT_BATCH_LIMIT=8 $(GO) test -race -run ChaosRestart -count=3 ./internal/server/
+	COSOFT_BATCH_LIMIT=8 $(GO) test -race -run ChaosRestart -count=3 ./internal/server/
 
 # Kill-and-restart soak with snapshots + compaction live underneath the
 # traffic: a tight snapshot cadence and tiny segments force continuous
@@ -59,10 +52,10 @@ chaos-restart:
 # afterwards the directory must fsck clean, every client must still work
 # under its original identity, and the segment bytes left on disk must be
 # bounded below everything appended. Runs race-checked, plain and with
-# shards + batching forced.
+# batching forced.
 chaos-compact:
 	$(GO) test -race -run ChaosCompact -count=3 ./internal/server/
-	COSOFT_SHARDS=4 COSOFT_BATCH_LIMIT=8 $(GO) test -race -run ChaosCompact -count=3 ./internal/server/
+	COSOFT_BATCH_LIMIT=8 $(GO) test -race -run ChaosCompact -count=3 ./internal/server/
 
 # Regenerates BENCH_obs.json (the metrics trajectory) along with the paper
 # benchmarks.

@@ -353,23 +353,13 @@ func BenchmarkEvent(b *testing.B) {
 		})
 	}
 
-	// The shards pair measures per-group parallelism: eight independent
-	// coupling groups driven concurrently, first against the classic single
-	// state loop and then with the group-scoped state partitioned across
-	// four shard loops. Groups never share locks, history or pending
-	// events, so on a multi-core host the sharded variant's throughput
-	// should approach min(4, GOMAXPROCS)× the single-loop row; the
-	// trajectory rows carry num_cpu so a one-core CI runner's flat result
-	// is not mistaken for a regression.
-	for _, mode := range []string{"shards-1", "shards-4"} {
-		nshards := 1
-		if mode == "shards-4" {
-			nshards = 4
-		}
-		b.Run(mode, func(b *testing.B) {
-			multiGroupBench(b, "BenchmarkEvent/"+mode, nshards)
-		})
-	}
+	// The multi-group variant drives eight independent coupling groups
+	// concurrently through the one serialized state loop, so it prices the
+	// per-event fixed cost with several groups in flight. The trajectory
+	// rows carry num_cpu so rows from different hosts are not confused.
+	b.Run("multi-group", func(b *testing.B) {
+		multiGroupBench(b, "BenchmarkEvent/multi-group")
+	})
 
 	// The durable trio prices the append-before-ack event log on the coupled
 	// event hot path. off is the in-memory baseline; interval acks once the
@@ -457,11 +447,11 @@ func durableBench(b *testing.B, bench, mode string) {
 	writeBenchTrajectory(b, bench, reg, stats)
 }
 
-// multiGroupBench runs one BenchmarkEvent shards variant: groupCount
+// multiGroupBench runs the BenchmarkEvent multi-group variant: groupCount
 // independent origin↔member pairs over real loopback TCP, every origin
 // dispatching its share of b.N events from its own goroutine so the server
 // sees all groups contending at once.
-func multiGroupBench(b *testing.B, bench string, shards int) {
+func multiGroupBench(b *testing.B, bench string) {
 	const groupCount = 8
 	var spec strings.Builder
 	for g := 0; g < groupCount; g++ {
@@ -472,7 +462,7 @@ func multiGroupBench(b *testing.B, bench string, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(server.Options{Shards: shards, Metrics: reg})
+	srv := server.New(server.Options{Metrics: reg})
 	go srv.Serve(lis)
 	defer srv.Close()
 	defer lis.Close()
@@ -537,7 +527,6 @@ func multiGroupBench(b *testing.B, bench string, shards int) {
 	b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
 	b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
 	writeBenchTrajectory(b, bench, reg, stats, map[string]float64{
-		"shards":  float64(shards),
 		"groups":  groupCount,
 		"num_cpu": float64(runtime.NumCPU()),
 	})

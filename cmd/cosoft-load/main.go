@@ -17,7 +17,7 @@
 //
 //	cosoft-load [-groups 2] [-group-size 64] [-duration 5s] [-events 0]
 //	            [-rate 0] [-payload 24] [-batch-limit 32] [-batching]
-//	            [-shards 1] [-no-encode-once] [-no-member-attr]
+//	            [-no-encode-once] [-no-member-attr]
 //	            [-faultnet "dup=0.01,delay=1ms,jitter=1ms"]
 //	            [-addr host:port] [-bench-out BENCH_obs.json] [-v]
 //
@@ -62,7 +62,6 @@ func main() {
 		payload      = flag.Int("payload", 24, "event payload size in bytes")
 		batchLimit   = flag.Int("batch-limit", 32, "in-process server batch limit (0 or 1 = batching disabled)")
 		batching     = flag.Bool("batching", true, "clients opt into the wire batch extension")
-		shards       = flag.Int("shards", 1, "in-process server shard count: per-coupling-group state loops (1 = classic single loop)")
 		noEncodeOnce = flag.Bool("no-encode-once", false, "in-process server re-encodes the Exec body per member (ablation)")
 		noMemberAttr = flag.Bool("no-member-attr", false, "in-process server skips per-member straggler attribution (ablation)")
 		faultSpec    = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
@@ -77,7 +76,7 @@ func main() {
 	if err := run(config{
 		addr: *addr, groups: *groups, groupSize: *groupSize,
 		duration: *duration, events: *events, rate: *rate, payload: *payload,
-		batchLimit: *batchLimit, batching: *batching, shards: *shards,
+		batchLimit: *batchLimit, batching: *batching,
 		noEncodeOnce: *noEncodeOnce, noMemberAttr: *noMemberAttr,
 		faultSpec: *faultSpec, benchOut: *benchOut, verbose: *verbose,
 	}); err != nil {
@@ -96,7 +95,6 @@ type config struct {
 	payload      int
 	batchLimit   int
 	batching     bool
-	shards       int
 	noEncodeOnce bool
 	noMemberAttr bool
 	faultSpec    string
@@ -127,7 +125,6 @@ func run(cfg config) error {
 		reg = obs.NewRegistry()
 		srv = server.New(server.Options{
 			BatchLimit:               cfg.batchLimit,
-			Shards:                   cfg.shards,
 			DisableEncodeOnce:        cfg.noEncodeOnce,
 			DisableMemberAttribution: cfg.noMemberAttr,
 			Metrics:                  reg,
@@ -315,7 +312,6 @@ func run(cfg config) error {
 		"events_per_sec": eps,
 		"p50_rtt_ns":     float64(p50.Nanoseconds()),
 		"p99_rtt_ns":     float64(p99.Nanoseconds()),
-		"shards":         float64(cfg.shards),
 		"num_cpu":        float64(runtime.NumCPU()),
 	}
 	var stats server.Stats

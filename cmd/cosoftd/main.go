@@ -22,7 +22,7 @@
 // Usage:
 //
 //	cosoftd [-listen :7817] [-metrics-addr :9090] [-history 32]
-//	        [-ordered-locking] [-shards N] [-heartbeat 5s] [-event-deadline 10s]
+//	        [-ordered-locking] [-heartbeat 5s] [-event-deadline 10s]
 //	        [-outbox-limit 1024] [-batch-limit 32] [-no-encode-once]
 //	        [-no-member-attr] [-trace-buffer 4096]
 //	        [-flight-depth 64] [-log-level info] [-v]
@@ -55,7 +55,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,7 +70,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address for the metrics/trace/expvar/pprof endpoints (empty = disabled)")
 	history := flag.Int("history", 0, "per-object historical-state depth (0 = default)")
 	ordered := flag.Bool("ordered-locking", false, "use deterministic-order group locking instead of the paper's sequential algorithm")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of per-coupling-group state loops (1 = classic single serialized loop)")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness ping interval; silent clients are dropped after 3 intervals (0 = disabled)")
 	eventDeadline := flag.Duration("event-deadline", 0, "max wait for event acknowledgements before the group unlocks without the stragglers (0 = disabled)")
 	outboxLimit := flag.Int("outbox-limit", 0, "per-client outbox high-water mark; clients over it for more than a second are evicted (0 = unbounded)")
@@ -103,7 +101,6 @@ func main() {
 	opts := server.Options{
 		HistoryDepth:             *history,
 		OrderedLocking:           *ordered,
-		Shards:                   *shards,
 		Heartbeat:                *heartbeat,
 		EventDeadline:            *eventDeadline,
 		OutboxLimit:              *outboxLimit,

@@ -293,8 +293,8 @@ func TestDebugGroupsEndToEnd(t *testing.T) {
 	if g.Members[0].LastAcks != 3 {
 		t.Fatalf("straggler last_acks = %d, want 3", g.Members[0].LastAcks)
 	}
-	if len(rep.Loops) == 0 || rep.Loops[0].Name != "global" {
-		t.Fatalf("loops = %+v", rep.Loops)
+	if rep.Loop.Events != 3 || rep.Loop.BusyNS == 0 {
+		t.Fatalf("loop = %+v", rep.Loop)
 	}
 
 	resp, err := http.Get(hsrv.URL + "/metrics?format=prom")
@@ -316,7 +316,7 @@ func TestDebugGroupsEndToEnd(t *testing.T) {
 		`cosoft_server_member_ack_ewma_ns{member="` + string(c.ID()) + `"}`,
 		`cosoft_server_member_ack_ns_bucket{member="` + string(c.ID()) + `",le="+Inf"} 3`,
 		"cosoft_server_global_busy_ns",
-		"cosoft_server_shard_0_queue_depth",
+		"cosoft_server_global_queue_depth",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prom output missing %q", want)

@@ -521,10 +521,43 @@ func (c *Client) routeLocal(conn *wire.Conn, env wire.Envelope) (bool, error) {
 		}
 		return true, nil
 	case wire.LinkRemoved:
-		c.links.RemoveLink(m.Link.From, m.Link.To)
+		if c.links.RemoveLink(m.Link.From, m.Link.To) {
+			c.pruneMirror(m.Link)
+		}
 		return true, nil
 	}
 	return false, nil
+}
+
+// pruneMirror drops the mirrored links the removal of l cut off from this
+// instance's objects. The server notifies a link change only to the members
+// of the groups it touches, so a part of a group this instance was split
+// away from evolves unseen; keeping its links would resurrect departed
+// members in CO(o) once the instance rejoins that part.
+//
+// Every mirrored component held one of the instance's objects before the
+// removal, so a side needs no search when it is one of those objects, has
+// no links left, or lost only a foreign leaf — the common decouple, which
+// keeps the check O(1) at every member of a large group.
+func (c *Client) pruneMirror(l couple.Link) {
+	ends := [2]couple.ObjectRef{l.From, l.To}
+	for i, end := range ends {
+		other := ends[1-i]
+		if end.Instance == c.id || !c.links.Coupled(end) ||
+			(other.Instance != c.id && !c.links.Coupled(other)) {
+			continue
+		}
+		group := c.links.Group(end)
+		own := false
+		for _, m := range group {
+			own = own || m.Instance == c.id
+		}
+		if !own {
+			for _, m := range group {
+				c.links.RemoveObject(m)
+			}
+		}
+	}
 }
 
 // dispatchLoop is the instance's UI thread for server-initiated work: remote

@@ -3,8 +3,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,22 +15,10 @@ import (
 	"cosoft/internal/wire"
 )
 
-// testServerOptions is the default option set for every test server in this
-// package. With COSOFT_SHARDS=<n> set, servers run that many state shards so
-// the whole client suite doubles as a sharding equivalence check (CI runs a
-// COSOFT_SHARDS=4 leg).
-func testServerOptions() server.Options {
-	var opts server.Options
-	if n, _ := strconv.Atoi(os.Getenv("COSOFT_SHARDS")); n > 0 {
-		opts.Shards = n
-	}
-	return opts
-}
-
 // dial spins a private server and connects one client to it.
 func dial(t *testing.T, spec string) (*Client, *server.Server) {
 	t.Helper()
-	srv := server.New(testServerOptions())
+	srv := server.New(server.Options{})
 	var wg sync.WaitGroup
 	t.Cleanup(func() {
 		srv.Close()
@@ -315,7 +301,7 @@ func TestRPCTimeout(t *testing.T) {
 // used to go out with Seq 0, so the OK's RefSeq 0 made it look like
 // server-initiated traffic to the dispatch loop.
 func TestCloseQuietShutdown(t *testing.T) {
-	srv := server.New(testServerOptions())
+	srv := server.New(server.Options{})
 	var wg sync.WaitGroup
 	defer func() {
 		srv.Close()

@@ -16,7 +16,7 @@ import (
 // twoClients connects two clients with distinct specs to one server.
 func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 	t.Helper()
-	srv := server.New(testServerOptions())
+	srv := server.New(server.Options{})
 	var wg sync.WaitGroup
 	t.Cleanup(func() {
 		srv.Close()
@@ -234,7 +234,7 @@ func retryDispatch(t *testing.T, c *Client, e *widget.Event) {
 }
 
 func TestMarkOriginCongruence(t *testing.T) {
-	srv := server.New(testServerOptions())
+	srv := server.New(server.Options{})
 	var wg sync.WaitGroup
 	t.Cleanup(func() {
 		srv.Close()

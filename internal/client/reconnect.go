@@ -137,8 +137,7 @@ func (c *Client) redial() (*wire.Conn, []wire.Envelope, error) {
 // The resumed instance is already a member of its coupling groups, so the
 // server can start flushing group traffic the moment it admits the session:
 // the Registered reply may arrive packed in a Batch with notifications or
-// replayed events, or even after them when a shard loop's broadcast wins
-// the race with the admitting state loop. Every envelope that is not the
+// replayed events, or after them. Every envelope that is not the
 // reply is stashed and returned for the read loop to route once the resume
 // is accepted — abandoning the connection here would orphan a session whose
 // single-use token the admission already consumed, permanently stranding

@@ -4,13 +4,13 @@
 // replay (commutative event sourcing over the §3.2 event stream).
 //
 // Records are group-interleaved: each carries the coupling-group key it
-// mutates, so one log serializes all shards' appends while replay can still
-// attribute every record to its group. Appends are a lock-free handoff — the
-// calling loop encodes the record, hands the bytes to a dedicated writer
-// goroutine over a channel, and blocks only until its durability level is
-// reached (write for `interval`/`none`, write+fsync for `always`). The writer
-// drains whatever accumulated while the previous write was in flight into a
-// single write (+ a single fsync), so concurrent shard loops group-commit.
+// mutates, so replay can attribute every record to its group. Appends are a
+// lock-free handoff — the calling loop encodes the record, hands the bytes
+// to a dedicated writer goroutine over a channel, and blocks only until its
+// durability level is reached (write for `interval`/`none`, write+fsync for
+// `always`). The writer drains whatever accumulated while the previous write
+// was in flight into a single write (+ a single fsync), so concurrent
+// appenders group-commit.
 //
 // On-disk framing, repeated per record inside segments named by base offset
 // (`%016x.seg`):

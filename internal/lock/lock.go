@@ -204,35 +204,6 @@ func (t *Table) ReleaseInstance(id couple.InstanceID) []couple.ObjectRef {
 	return out
 }
 
-// Extract removes and returns every held entry whose ref is in refs or whose
-// owner is in owners (either set may be nil). It is the donor half of a
-// cross-shard group migration: the extracted entries are Installed into the
-// receiving shard's table so the merged group serializes on one table.
-func (t *Table) Extract(refs map[couple.ObjectRef]bool, owners map[Owner]bool) map[couple.ObjectRef]Owner {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[couple.ObjectRef]Owner)
-	for ref, cur := range t.held {
-		if refs[ref] || owners[cur] {
-			delete(t.held, ref)
-			out[ref] = cur
-		}
-	}
-	return out
-}
-
-// Install adds extracted entries to the table. Entries for refs already held
-// must not occur (the migration protocol guarantees the receiving shard has
-// processed no event on the migrating refs yet); an existing entry is
-// overwritten rather than merged.
-func (t *Table) Install(m map[couple.ObjectRef]Owner) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for ref, owner := range m {
-		t.held[ref] = owner
-	}
-}
-
 // HeldBy returns the current owner of ref, if locked.
 func (t *Table) HeldBy(ref couple.ObjectRef) (Owner, bool) {
 	t.mu.Lock()

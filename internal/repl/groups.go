@@ -43,20 +43,15 @@ func (r *REPL) printHealth(rep server.HealthReport) {
 	}
 	fmt.Fprintf(r.out, "uptime %v, member attribution %s\n",
 		time.Duration(rep.UptimeNS).Round(time.Millisecond), attribution)
-	for _, lp := range rep.Loops {
-		line := fmt.Sprintf("loop %s: %.1f%% busy, queue %d (high water %d)",
-			lp.Name, lp.Utilization*100, lp.QueueDepth, lp.QueueHighWater)
-		if lp.Events > 0 || lp.PendingEvents > 0 {
-			line += fmt.Sprintf(", events %d (%d pending)", lp.Events, lp.PendingEvents)
-		}
-		fmt.Fprintln(r.out, line)
-	}
+	lp := rep.Loop
+	fmt.Fprintf(r.out, "loop: %.1f%% busy, queue %d (high water %d), events %d (%d pending)\n",
+		lp.Utilization*100, lp.QueueDepth, lp.QueueHighWater, lp.Events, lp.PendingEvents)
 	if len(rep.Groups) == 0 {
 		fmt.Fprintln(r.out, "no coupling groups")
 		return
 	}
 	for _, g := range rep.Groups {
-		fmt.Fprintf(r.out, "group [%s] shard %d\n", strings.Join(g.Refs, " "), g.Shard)
+		fmt.Fprintf(r.out, "group [%s]\n", strings.Join(g.Refs, " "))
 		status := "unlocked"
 		if g.LockHolder != "" {
 			status = "locked by " + g.LockHolder

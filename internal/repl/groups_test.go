@@ -31,13 +31,10 @@ func TestGroupsCommandPrintsStragglerAndLoops(t *testing.T) {
 	rep := server.HealthReport{
 		UptimeNS:          2_500_000_000,
 		MemberAttribution: true,
-		Loops: []server.LoopHealth{
-			{Name: "global", BusyNS: 250_000_000, Utilization: 0.1, QueueDepth: 1, QueueHighWater: 4},
-			{Name: "shard.0", Events: 7, PendingEvents: 1},
-		},
+		Loop: server.LoopHealth{BusyNS: 250_000_000, Utilization: 0.1, QueueDepth: 1, QueueHighWater: 4,
+			Events: 7, PendingEvents: 1},
 		Groups: []server.GroupHealth{{
 			Refs:          []string{"inst-a:/note", "inst-b:/note", "inst-c:/note"},
-			Shard:         0,
 			LockHolder:    "inst-a",
 			PendingEvents: 1,
 			Straggler:     "inst-c",
@@ -56,9 +53,8 @@ func TestGroupsCommandPrintsStragglerAndLoops(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"uptime 2.5s, member attribution on",
-		"loop global: 10.0% busy, queue 1 (high water 4)",
-		"loop shard.0: 0.0% busy, queue 0 (high water 0), events 7 (1 pending)",
-		"group [inst-a:/note inst-b:/note inst-c:/note] shard 0",
+		"loop: 10.0% busy, queue 1 (high water 4), events 7 (1 pending)",
+		"group [inst-a:/note inst-b:/note inst-c:/note]\n",
 		"locked by inst-a, 1 pending events",
 		"straggler: inst-c",
 		"inst-c acks=7 last=7 timeouts=0 ewma=25ms p50=25ms p99=26ms",
@@ -72,8 +68,7 @@ func TestGroupsCommandPrintsStragglerAndLoops(t *testing.T) {
 }
 
 func TestGroupsCommandEmptyReport(t *testing.T) {
-	r, out := serveHealth(t, server.HealthReport{MemberAttribution: true,
-		Loops: []server.LoopHealth{{Name: "global"}}})
+	r, out := serveHealth(t, server.HealthReport{MemberAttribution: true})
 	if err := r.Execute("groups"); err != nil {
 		t.Fatalf("groups: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
+	"cosoft/internal/experiments"
 	"cosoft/internal/faultnet"
 	"cosoft/internal/netsim"
 	"cosoft/internal/server"
@@ -300,8 +301,14 @@ func TestChaosReconnectResync(t *testing.T) {
 
 	// Alice keeps editing; bob misses this change and must pull it on
 	// resync (or receive it as a normal broadcast if the resume won the
-	// race — both paths converge).
-	dispatch(t, a, "/note", "v2")
+	// race — both paths converge). Bob's ack of v1 may have died with the
+	// connection, leaving the group locked until the server drops him, so
+	// the edit retries a floor denial just as a user would.
+	if _, err := experiments.DispatchRetry(a, &widget.Event{
+		Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("v2")},
+	}); err != nil {
+		t.Fatalf("dispatch v2: %v", err)
+	}
 
 	waitFor(t, "resync completed", func() bool { return resyncs.Load() >= 1 })
 	if got := b.ID(); got != bID {

@@ -20,9 +20,7 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -39,13 +37,6 @@ import (
 	"cosoft/internal/netsim"
 )
 
-// crashShards mirrors the external harness's COSOFT_SHARDS hook so the CI
-// sharded soak sweeps the crash points through the multi-loop server too.
-var crashShards = func() int {
-	n, _ := strconv.Atoi(os.Getenv("COSOFT_SHARDS"))
-	return n
-}()
-
 // crashRig is an in-package client harness (the white-box twin of the
 // server_test harness; a separate type because this file needs Server
 // internals for the state digest).
@@ -58,9 +49,6 @@ type crashRig struct {
 
 func newCrashRig(t *testing.T, opts Options) *crashRig {
 	t.Helper()
-	if opts.Shards == 0 {
-		opts.Shards = crashShards
-	}
 	return &crashRig{t: t, srv: New(opts), cl: make(map[string]*coclient.Client)}
 }
 
@@ -166,7 +154,7 @@ func crashOps() []func(r *crashRig) {
 		func(r *crashRig) { r.mustOK(r.cl["B"].Redo("/x")) },    // Redo
 		func(r *crashRig) { r.dial("C", "u3") },                 // Register
 		func(r *crashRig) { r.mustOK(r.cl["C"].Declare("/x")) }, // Declare
-		func(r *crashRig) { // Couple (second group merge; migrates when sharded)
+		func(r *crashRig) { // Couple (second group merge)
 			r.mustOK(r.cl["C"].Couple("/x", r.cl["A"].Ref("/x")))
 			r.wait("C sees group of 3", func() bool { return len(r.cl["C"].CO("/x")) == 2 })
 		},
@@ -183,10 +171,9 @@ func crashOps() []func(r *crashRig) {
 	}
 }
 
-// renderGlobalState writes the digest lines for the global databases:
-// registration records with declared objects, couple links, permission
-// rules. It reads the databases directly — crashDigest posts it onto the
-// live global loop; foldDigest (snapshot_recovery_test.go) calls it on
+// renderGlobalState writes the digest lines for the registration records
+// with declared objects, couple links and permission rules. It reads the databases directly — crashDigest posts it onto the
+// live state loop; foldDigest (snapshot_recovery_test.go) calls it on
 // loop-less fold replicas.
 func renderGlobalState(b *strings.Builder, s *Server) {
 	ids := s.reg.Instances()
@@ -215,12 +202,12 @@ func renderGlobalState(b *strings.Builder, s *Server) {
 	}
 }
 
-// renderShardState writes the digest lines for one shard: its event-ID
-// sequence and history stacks.
-func renderShardState(b *strings.Builder, i int, sh *shard) {
-	fmt.Fprintf(b, "shard %d seq=%d\n", i, sh.seq)
-	for _, ref := range sh.history.Refs() {
-		undo, redo := sh.history.Stacks(ref)
+// renderEventState writes the digest lines of the event path: the event-ID
+// sequence and the history stacks.
+func renderEventState(b *strings.Builder, s *Server) {
+	fmt.Fprintf(b, "event seq=%d\n", s.eventSeq)
+	for _, ref := range s.history.Refs() {
+		undo, redo := s.history.Stacks(ref)
 		fmt.Fprintf(b, "hist %s undo=%s redo=%s\n", ref, renderHistStack(undo), renderHistStack(redo))
 	}
 }
@@ -234,8 +221,8 @@ func renderHistStack(list []hist.Snapshot) string {
 }
 
 // crashDigest renders the replayable server databases — registration records
-// with declared objects, couple links, permission rules, per-shard event
-// sequences and history stacks — into a canonical string. Everything
+// with declared objects, couple links, permission rules, the event sequence
+// and history stacks — into a canonical string. Everything
 // excluded is deliberately not replayed: lock tables and pending events
 // (transient floor control), session tokens (random per run), connection
 // state, timestamps.
@@ -245,17 +232,9 @@ func crashDigest(s *Server) string {
 	s.post(func() {
 		defer close(done)
 		renderGlobalState(&b, s)
+		renderEventState(&b, s)
 	})
 	<-done
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		done := make(chan struct{})
-		s.postShard(sh, func() {
-			defer close(done)
-			renderShardState(&b, i, sh)
-		})
-		<-done
-	}
 	return b.String()
 }
 

@@ -47,9 +47,6 @@ func newDurableServer(t *testing.T, opts server.Options) *durableServer {
 // (segment size, metrics sink, sync policy) that every incarnation reuses.
 func newDurableLogServer(t *testing.T, opts server.Options, logOpts eventlog.Options) *durableServer {
 	t.Helper()
-	if opts.Shards == 0 {
-		opts.Shards = envShards
-	}
 	if opts.BatchLimit == 0 {
 		opts.BatchLimit = envBatchLimit
 	}

@@ -33,32 +33,19 @@ type pendingEvent struct {
 	// timer fires the event deadline (nil when deadlines are disabled). It
 	// is stopped when the event resolves normally.
 	timer *time.Timer
-	// migrated marks an event carried to another shard by a group
-	// migration; its router forwarding entry is cleared on resolution.
-	migrated bool
 }
 
 // handleEvent implements the multiple-execution algorithm of §3.2. The
 // originating client has already applied the event's built-in feedback
 // locally; the server locks CO(o), broadcasts Exec to every coupled member,
-// and tells the origin whether to keep or undo its feedback. It runs on sh's
-// loop — the shard owning the source object's coupling group.
+// and tells the origin whether to keep or undo its feedback. It runs on the
+// state loop.
 //
 // tc is the trace context the Event envelope carried (the origin's
 // "client.event_send" span); every hop recorded here descends from it.
-func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc obs.TraceContext) {
+func (s *Server) handleEvent(cl *client, seq uint64, m wire.Event, tc obs.TraceContext) {
 	source := couple.ObjectRef{Instance: cl.id, Path: m.Path}
-	if s.sharded {
-		// Ownership recheck: the group may have migrated between the read
-		// goroutine's routing decision and this closure running. Forward to
-		// the current owner rather than touching the wrong shard's state.
-		if own := s.shardForRef(source); own != sh {
-			s.postShard(own, func() { s.handleEvent(own, cl, seq, m, tc) })
-			return
-		}
-	}
 	s.mEvents.Inc()
-	sh.mEvents.Inc()
 	start := s.mEventRTT.Start()
 	arrival := s.tr.StartSpan(tc, "server.event_arrival", "server")
 	if arrival.Active() {
@@ -78,14 +65,10 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 		return
 	}
 
-	// Event IDs interleave across shards: shard i allocates i+1, i+1+N,
-	// i+1+2N, … so IDs stay globally unique, the birth shard is recoverable
-	// as (id-1) mod N, and a single shard counts 1,2,3… exactly as the
-	// unsharded server did.
-	sh.seq++
-	eventID := (sh.seq-1)*uint64(len(s.shards)) + uint64(sh.idx) + 1
+	s.eventSeq++
+	eventID := s.eventSeq
 	owner := lock.Owner{Instance: cl.id, Seq: eventID}
-	ok, _ := s.lockGroup(sh.locks, actx, members, owner)
+	ok, _ := s.lockGroup(actx, members, owner)
 	if !ok {
 		// Lock failed: the origin must undo the event's syntactic feedback.
 		s.mLockFails.Inc()
@@ -103,9 +86,8 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	// The event is committed: the group lock is held and the broadcast is
 	// about to fan out. Make it durable before any member — including the
 	// origin's EventResult — hears about it, so an acked event is always in
-	// the replayable stream. The append runs on this shard's loop but the
-	// file I/O happens on the log's writer goroutine; concurrent shards
-	// group-commit into one write+fsync.
+	// the replayable stream. The append runs on the state loop but the file
+	// I/O happens on the log's writer goroutine.
 	exec := wire.Exec{
 		EventID:    eventID,
 		TargetPath: m.Path,
@@ -115,7 +97,7 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	}
 	s.logAppend(eventlog.KindEvent, cl.id, stateID(source), exec)
 	if s.opts.ReplayTail {
-		sh.pushTail(source, exec)
+		s.pushTail(source, exec)
 	}
 
 	pe := &pendingEvent{
@@ -179,16 +161,15 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	arrival.End()
 	if len(pe.waiting) == 0 {
 		// All members belonged to disconnected instances.
-		s.unlockEvent(sh, pe, false)
+		s.unlockEvent(pe, false)
 		return
 	}
-	sh.pending[eventID] = pe
+	s.pending[eventID] = pe
 	if d := s.opts.EventDeadline; d > 0 {
-		// AfterFunc posts back to the birth shard's loop; post refuses after
-		// Close, so a late firing is harmless, and if the event migrated the
-		// miss-forward in timeoutEvent chases it.
+		// AfterFunc posts back to the state loop; post refuses after Close,
+		// so a late firing is harmless.
 		pe.timer = time.AfterFunc(d, func() {
-			s.postShard(sh, func() { s.timeoutEvent(sh, eventID) })
+			s.post(func() { s.timeoutEvent(eventID) })
 		})
 	}
 }
@@ -196,10 +177,9 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 // timeoutEvent resolves an event whose deadline expired before every member
 // acknowledged: the stragglers are dropped from the wait set and the group
 // unlocks, so one hung member cannot wedge the whole coupling group.
-func (s *Server) timeoutEvent(sh *shard, id uint64) {
-	pe, ok := sh.pending[id]
+func (s *Server) timeoutEvent(id uint64) {
+	pe, ok := s.pending[id]
 	if !ok {
-		s.forwardEventMiss(sh, id, func(to *shard) { s.timeoutEvent(to, id) })
 		return
 	}
 	stragglers := make([]string, 0, len(pe.waiting))
@@ -216,7 +196,7 @@ func (s *Server) timeoutEvent(sh *shard, id uint64) {
 	s.slog.Warn("event deadline expired",
 		"event_id", id, "origin", string(pe.origin), "path", pe.source.Path,
 		"stragglers", strings.Join(stragglers, " "), "trace", pe.tc.Trace)
-	s.finishEvent(sh, id, pe, true)
+	s.finishEvent(id, pe, true)
 }
 
 // handleBatchAck resolves a coalesced run of Exec acknowledgements. Each
@@ -224,13 +204,11 @@ func (s *Server) timeoutEvent(sh *shard, id uint64) {
 // run entry by entry is identical to receiving the same ExecAcks singly —
 // including the stale-ack tolerance: an entry for an event already resolved
 // by a deadline or disconnect is skipped without disturbing its batch-mates.
-// (Sharded servers split BatchAcks per birth shard in dispatchEnv and never
-// reach this path.)
-func (s *Server) handleBatchAck(sh *shard, cl *client, m wire.BatchAck) {
+func (s *Server) handleBatchAck(cl *client, m wire.BatchAck) {
 	s.mAcksCoalesced.Add(uint64(len(m.Acks)))
 	now := s.ackClock()
 	for _, a := range m.Acks {
-		s.ackExec(sh, cl, a.EventID, a.Trace, now)
+		s.ackExec(cl, a.EventID, a.Trace, now)
 	}
 }
 
@@ -246,17 +224,13 @@ func (s *Server) ackClock() time.Time {
 }
 
 // ackExec is the shared ack-resolution core: decrement cl's outstanding
-// count for the event and unlock the group when the wait set empties. It
-// runs on the event's birth shard; if the event migrated with its group, the
-// ack is forwarded to the current owner. now is the batch-hoisted ack clock
-// (see ackClock); zero means read it here if attribution needs it.
-func (s *Server) ackExec(sh *shard, cl *client, eventID uint64, tc obs.TraceContext, now time.Time) {
-	pe, ok := sh.pending[eventID]
+// count for the event and unlock the group when the wait set empties. now is
+// the batch-hoisted ack clock (see ackClock); zero means read it here if
+// attribution needs it.
+func (s *Server) ackExec(cl *client, eventID uint64, tc obs.TraceContext, now time.Time) {
+	pe, ok := s.pending[eventID]
 	if !ok {
-		// Stale ack (event already resolved by a deadline or disconnect) —
-		// unless the event migrated, in which case chase it.
-		s.forwardEventMiss(sh, eventID, func(to *shard) { s.ackExec(to, cl, eventID, tc, now) })
-		return
+		return // stale ack: event already resolved by a deadline or disconnect
 	}
 	if pe.waiting[cl.id] == 0 {
 		return // ack from an instance we were not waiting for
@@ -285,36 +259,20 @@ func (s *Server) ackExec(sh *shard, cl *client, eventID uint64, tc obs.TraceCont
 		}
 	}
 	if len(pe.waiting) == 0 {
-		s.finishEvent(sh, eventID, pe, false)
+		s.finishEvent(eventID, pe, false)
 	}
 }
 
-// forwardEventMiss re-posts an operation on a pending event that is not in
-// sh's map: a migrated event leaves a forwarding entry in the router until
-// it resolves. Without an entry the miss is final (stale ack / stale timer).
-func (s *Server) forwardEventMiss(sh *shard, id uint64, op func(*shard)) {
-	if !s.sharded {
-		return
-	}
-	if idx, ok := s.router.eventShard(id); ok && s.shards[idx] != sh {
-		to := s.shards[idx]
-		s.postShard(to, func() { op(to) })
-	}
-}
-
-func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bool) {
-	delete(sh.pending, id)
+func (s *Server) finishEvent(id uint64, pe *pendingEvent, timedOut bool) {
+	delete(s.pending, id)
 	if pe.timer != nil {
 		pe.timer.Stop()
 	}
-	if pe.migrated {
-		s.router.clearEvent(id)
-	}
-	s.unlockEvent(sh, pe, timedOut)
+	s.unlockEvent(pe, timedOut)
 }
 
-func (s *Server) unlockEvent(sh *shard, pe *pendingEvent, timedOut bool) {
-	sh.locks.UnlockGroup(pe.members, pe.owner)
+func (s *Server) unlockEvent(pe *pendingEvent, timedOut bool) {
+	s.locks.UnlockGroup(pe.members, pe.owner)
 	s.tr.Point(pe.tc, "server.unlock", "server", "")
 	s.notifyLockChange(pe.tc, pe.members, false, pe.source)
 	// Deadline-resolved events waited the full deadline by construction;

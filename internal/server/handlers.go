@@ -40,14 +40,11 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 	case wire.Decouple:
 		s.handleDecouple(cl, env.Seq, m)
 	case wire.Event:
-		// Reached only on a single-shard server: when sharded, dispatchEnv
-		// routes event traffic straight to the owning shard loop and handle
-		// never sees these three message types.
-		s.handleEvent(s.shards[0], cl, env.Seq, m, env.Trace)
+		s.handleEvent(cl, env.Seq, m, env.Trace)
 	case wire.ExecAck:
-		s.ackExec(s.shards[0], cl, m.EventID, env.Trace, time.Time{})
+		s.ackExec(cl, m.EventID, env.Trace, time.Time{})
 	case wire.BatchAck:
-		s.handleBatchAck(s.shards[0], cl, m)
+		s.handleBatchAck(cl, m)
 	case wire.CopyTo:
 		s.handleCopyTo(cl, env.Seq, m)
 	case wire.CopyFrom:
@@ -128,17 +125,13 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	// it afterwards loses the members connected only through the retracted
 	// object, so the split halves would keep stale mirrored links.
 	members := s.graph.Group(ref)
-	sh := s.shardForRef(ref)
 	removed := s.graph.RemoveObject(ref)
 	for _, l := range removed {
 		s.notifyLink(members, l, false)
 	}
 	s.reg.RetractObject(cl.id, m.Path)
-	s.runOnShard(sh, func() {
-		sh.history.Forget(ref)
-		delete(sh.tails, ref)
-	})
-	s.router.dropRef(ref)
+	s.history.Forget(ref)
+	delete(s.tails, ref)
 	s.logAppend(eventlog.KindRetract, cl.id, "", m)
 	s.reply(cl, seq, nil)
 }
@@ -181,11 +174,6 @@ func (s *Server) coupleRefs(cl *client, from, to couple.ObjectRef) error {
 	if s.opts.ReplayTail {
 		gFrom = s.graph.Group(from)
 		gTo = s.graph.Group(to)
-	}
-	if s.sharded {
-		// Co-locate the two endpoint groups before the link merges them:
-		// every member of one coupling group serializes on one shard loop.
-		s.mergeShards(from, to)
 	}
 	if err := s.graph.AddLink(l); err != nil {
 		return err
@@ -376,33 +364,24 @@ func (s *Server) dropClient(cl *client, reason string) {
 		s.notifyLink(pre[l.From], l, false)
 	}
 
-	// Resolve group-scoped state on every shard: events the instance
-	// originated are finished, events awaiting its ack are acked by absence,
-	// and its locks and histories are dropped.
-	for _, sh := range s.shards {
-		sh := sh
-		s.runOnShard(sh, func() {
-			for id, pe := range sh.pending {
-				if pe.origin == cl.id {
-					s.finishEvent(sh, id, pe, false)
-					continue
-				}
-				if pe.waiting[cl.id] > 0 {
-					delete(pe.waiting, cl.id)
-					if len(pe.waiting) == 0 {
-						s.finishEvent(sh, id, pe, false)
-					}
-				}
+	// Resolve group-scoped state: events the instance originated are
+	// finished, events awaiting its ack are acked by absence, and its locks
+	// and histories are dropped.
+	for id, pe := range s.pending {
+		if pe.origin == cl.id {
+			s.finishEvent(id, pe, false)
+			continue
+		}
+		if pe.waiting[cl.id] > 0 {
+			delete(pe.waiting, cl.id)
+			if len(pe.waiting) == 0 {
+				s.finishEvent(id, pe, false)
 			}
-			sh.locks.ReleaseInstance(cl.id)
-			sh.history.ForgetInstance(cl.id)
-			for ref := range sh.tails {
-				if ref.Instance == cl.id {
-					delete(sh.tails, ref)
-				}
-			}
-		})
+		}
 	}
+	s.locks.ReleaseInstance(cl.id)
+	s.history.ForgetInstance(cl.id)
+	s.forgetTails(cl.id)
 	// Resolve pending state fetches involving the instance.
 	for id, f := range s.pendingFetch {
 		if f.target == cl.id {
@@ -411,7 +390,6 @@ func (s *Server) dropClient(cl *client, reason string) {
 			delete(s.pendingFetch, id)
 		}
 	}
-	s.router.dropInstance(cl.id)
 	s.reg.Deregister(cl.id)
 }
 
@@ -433,11 +411,11 @@ func (s *Server) notifyLockChange(tc obs.TraceContext, members []couple.ObjectRe
 	}
 }
 
-// lockGroup applies the configured group-locking variant on the given
-// shard's table, recording a "lock.acquire" span under tc when tracing.
-func (s *Server) lockGroup(t *lock.Table, tc obs.TraceContext, refs []couple.ObjectRef, owner lock.Owner) (bool, int) {
+// lockGroup applies the configured group-locking variant, recording a
+// "lock.acquire" span under tc when tracing.
+func (s *Server) lockGroup(tc obs.TraceContext, refs []couple.ObjectRef, owner lock.Owner) (bool, int) {
 	if s.opts.OrderedLocking {
-		return t.TryLockGroupOrderedCtx(tc, refs, owner)
+		return s.locks.TryLockGroupOrderedCtx(tc, refs, owner)
 	}
-	return t.TryLockGroupCtx(tc, refs, owner)
+	return s.locks.TryLockGroupCtx(tc, refs, owner)
 }

@@ -1,6 +1,6 @@
 // The group health plane: a structured, JSON-ready report of per-group
 // topology and per-member event health, built from the couple graph, the
-// shard lock tables and pending maps, and the server.member metric family.
+// lock table and pending map, and the server.member metric family.
 // cosoftd serves it at /debug/groups and cosoft-repl renders it as the
 // `groups` command — the evidence surface for "which member is the chronic
 // critical path?", the question the §3.2 floor lock makes matter: every
@@ -9,7 +9,6 @@ package server
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"cosoft/internal/couple"
@@ -43,8 +42,6 @@ type GroupHealth struct {
 	// Refs lists the group's member objects as "instance:path", in the
 	// graph's deterministic order.
 	Refs []string `json:"refs"`
-	// Shard is the index of the shard loop serializing this group's events.
-	Shard int `json:"shard"`
 	// LockHolder is the instance currently holding the group's floor lock
 	// ("" when unlocked).
 	LockHolder string `json:"lock_holder,omitempty"`
@@ -60,10 +57,8 @@ type GroupHealth struct {
 	Members []MemberHealth `json:"members"`
 }
 
-// LoopHealth is one serialization loop's utilization numbers.
+// LoopHealth is the state loop's utilization numbers.
 type LoopHealth struct {
-	// Name is "global" or "shard.<i>".
-	Name string `json:"name"`
 	// BusyNS is the cumulative time the loop spent executing posted
 	// closures; Utilization is BusyNS over the server's uptime.
 	BusyNS      uint64  `json:"busy_ns"`
@@ -72,13 +67,9 @@ type LoopHealth struct {
 	// deepest backlog ever sampled.
 	QueueDepth     int64 `json:"queue_depth"`
 	QueueHighWater int64 `json:"queue_high_water"`
-	// Events counts events processed by this shard loop (0 for "global",
-	// whose event work is counted by the shards — except with one shard,
-	// where shard 0 shares the global loop and the split is the reverse:
-	// busy time accrues to "global" and events to "shard.0").
+	// Events counts Event messages processed (server.events).
 	Events uint64 `json:"events"`
-	// PendingEvents counts this shard's events still awaiting acks (always
-	// 0 for "global": pending state lives on shards).
+	// PendingEvents counts broadcast events still awaiting acks.
 	PendingEvents int `json:"pending_events"`
 }
 
@@ -89,89 +80,60 @@ type HealthReport struct {
 	// MemberAttribution reports whether the per-member family is active;
 	// when false every member's stats read zero by construction.
 	MemberAttribution bool `json:"member_attribution"`
-	// Loops lists the global loop first, then each shard loop.
-	Loops []LoopHealth `json:"loops"`
+	// Loop is the state loop's utilization.
+	Loop LoopHealth `json:"loop"`
 	// Groups lists every coupling group (two or more members).
 	Groups []GroupHealth `json:"groups"`
 }
 
 // Health assembles the group health report. Callable from any goroutine: the
-// graph, lock tables, client map and metric handles are all individually
-// synchronized, and per-shard pending counts are gathered under each shard's
-// own serialization (the same non-blocking pattern as pendingCount).
+// graph, lock table, client map and metric handles are all individually
+// synchronized, and the pending map is read on the state loop.
 func (s *Server) Health() HealthReport {
 	rep := HealthReport{
 		UptimeNS:          int64(time.Since(s.started)),
 		MemberAttribution: s.mMember != nil,
 	}
 
-	// Per-shard pending snapshot: event counts keyed by source ref, taken
-	// on the owning loop so the maps are never read concurrently.
-	type pendingSnap struct {
-		idx     int
-		bySrc   map[couple.ObjectRef]int
-		pending int
-	}
-	snaps := make(chan pendingSnap, len(s.shards))
-	posted := 0
-	for _, sh := range s.shards {
-		sh := sh
-		if s.postShard(sh, func() {
-			ps := pendingSnap{idx: sh.idx, bySrc: make(map[couple.ObjectRef]int, len(sh.pending))}
-			for _, pe := range sh.pending {
-				ps.bySrc[pe.source]++
-				ps.pending++
-			}
-			snaps <- ps
-		}) {
-			posted++
+	// Pending event counts keyed by source ref, taken on the loop so the map
+	// is never read concurrently.
+	snap := make(chan map[couple.ObjectRef]int, 1)
+	var pendingBySrc map[couple.ObjectRef]int
+	if s.post(func() {
+		bySrc := make(map[couple.ObjectRef]int, len(s.pending))
+		for _, pe := range s.pending {
+			bySrc[pe.source]++
 		}
-	}
-	pendingBySrc := make(map[couple.ObjectRef]int)
-	pendingByShard := make(map[int]int)
-	for i := 0; i < posted; i++ {
+		snap <- bySrc
+	}) {
 		select {
-		case ps := <-snaps:
-			pendingByShard[ps.idx] = ps.pending
-			for src, n := range ps.bySrc {
-				pendingBySrc[src] += n
-			}
-		case <-s.quit:
-			i = posted // shutting down: report what we have
+		case pendingBySrc = <-snap:
+		case <-s.quit: // shutting down: report no pending events
 		}
 	}
 
-	uptime := float64(rep.UptimeNS)
-	rep.Loops = append(rep.Loops, LoopHealth{
-		Name:           "global",
-		BusyNS:         s.mGlobalBusy.Value(),
-		Utilization:    utilization(s.mGlobalBusy.Value(), uptime),
+	busy := s.mGlobalBusy.Value()
+	rep.Loop = LoopHealth{
+		BusyNS:         busy,
+		Utilization:    utilization(busy, float64(rep.UptimeNS)),
 		QueueDepth:     s.mGlobalDepth.Value(),
 		QueueHighWater: s.mGlobalDepth.HighWater(),
-	})
-	for _, sh := range s.shards {
-		rep.Loops = append(rep.Loops, LoopHealth{
-			Name:           "shard." + strconv.Itoa(sh.idx),
-			BusyNS:         sh.mBusy.Value(),
-			Utilization:    utilization(sh.mBusy.Value(), uptime),
-			QueueDepth:     sh.mDepth.Value(),
-			QueueHighWater: sh.mDepth.HighWater(),
-			Events:         sh.mEvents.Value(),
-			PendingEvents:  pendingByShard[sh.idx],
-		})
+		Events:         s.mEvents.Value(),
+	}
+	for _, n := range pendingBySrc {
+		rep.Loop.PendingEvents += n
 	}
 
 	for _, refs := range s.graph.Groups() {
-		g := GroupHealth{Shard: s.shardForRef(refs[0]).idx}
+		var g GroupHealth
 		seen := make(map[couple.InstanceID]bool)
-		sh := s.shards[g.Shard]
 		for _, ref := range refs {
 			g.Refs = append(g.Refs, ref.String())
 			g.PendingEvents += pendingBySrc[ref]
 			if g.LockHolder == "" {
 				// The lock table carries its own mutex, so holders can be
-				// read from here without entering the shard loop.
-				if owner, held := sh.locks.HeldBy(ref); held {
+				// read from here without entering the state loop.
+				if owner, held := s.locks.HeldBy(ref); held {
 					g.LockHolder = string(owner.Instance)
 				}
 			}

@@ -94,28 +94,17 @@ func TestHealthStragglerAttribution(t *testing.T) {
 		t.Errorf("straggler quantiles p50=%.0f p99=%.0f", slow.AckP50NS, slow.AckP99NS)
 	}
 
-	// Loop accounting: the global loop (which carries shard 0 when
-	// unsharded) must have accumulated busy time and sane utilization.
-	if len(rep.Loops) < 2 || rep.Loops[0].Name != "global" {
-		t.Fatalf("loops = %+v", rep.Loops)
+	// Loop accounting: the state loop must have accumulated busy time and
+	// sane utilization, and counted every event.
+	lp := rep.Loop
+	if lp.BusyNS == 0 {
+		t.Error("loop busy_ns = 0 after traffic")
 	}
-	gl := rep.Loops[0]
-	if envShards <= 1 && gl.BusyNS == 0 {
-		t.Error("global loop busy_ns = 0 after traffic")
+	if lp.Utilization < 0 || lp.Utilization > 1 {
+		t.Errorf("loop utilization = %g", lp.Utilization)
 	}
-	if gl.Utilization < 0 || gl.Utilization > 1 {
-		t.Errorf("global utilization = %g", gl.Utilization)
-	}
-	var shardEvents, shardBusy uint64
-	for _, lp := range rep.Loops[1:] {
-		shardEvents += lp.Events
-		shardBusy += lp.BusyNS
-	}
-	if shardEvents != events {
-		t.Errorf("shard events = %d, want %d", shardEvents, events)
-	}
-	if envShards > 1 && shardBusy == 0 {
-		t.Error("sharded loops busy_ns = 0 after traffic")
+	if lp.Events != events {
+		t.Errorf("loop events = %d, want %d", lp.Events, events)
 	}
 }
 

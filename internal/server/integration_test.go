@@ -30,15 +30,6 @@ var envBatchLimit = func() int {
 	return n
 }()
 
-// envShards lets CI soak the whole suite in sharded mode: when
-// COSOFT_SHARDS=<n> is set, every harness server defaults to that shard
-// count, so all integration and chaos scenarios exercise the per-group
-// shard loops and cross-shard handoffs.
-var envShards = func() int {
-	n, _ := strconv.Atoi(os.Getenv("COSOFT_SHARDS"))
-	return n
-}()
-
 // envLogDir lets CI soak the whole suite with durability on: when
 // COSOFT_LOG_DIR=<dir> is set, every harness server appends to its own
 // event log under that directory, so every integration and chaos scenario
@@ -67,9 +58,6 @@ func newHarness(t *testing.T, opts server.Options) *harness {
 	t.Helper()
 	if opts.BatchLimit == 0 {
 		opts.BatchLimit = envBatchLimit
-	}
-	if opts.Shards == 0 {
-		opts.Shards = envShards
 	}
 	if envLogDir != "" && opts.EventLog == nil {
 		dir, err := os.MkdirTemp(envLogDir, "cosoft-log-*")

@@ -177,7 +177,7 @@ func TestEventTimeoutHistogram(t *testing.T) {
 	}
 }
 
-// participant is one raw client in the routing-equivalence trace, with an
+// participant is one raw client in the multi-group trace, with an
 // ack pump that records the Exec names it re-executed, in arrival order.
 type participant struct {
 	rc  *rawClient
@@ -236,15 +236,16 @@ func (p *participant) sendEvent(t *testing.T, name string) {
 	t.Fatalf("event %s never accepted", name)
 }
 
-// runShardTrace drives the same multi-group trace against a server with the
-// given shard count and returns every participant's per-member Exec order:
-// 8 two-instance groups run 4 events each concurrently, pairs of groups are
-// then merged (forcing cross-shard migrations when sharded), and each merged
-// group runs 4 more events across the new four-member group.
-func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats) {
+// TestMultiGroupExecOrder drives a multi-group trace through the one state
+// loop and checks every participant's per-member Exec order: 8
+// two-instance groups run 4 events each concurrently, pairs of groups are
+// then merged, and each merged group runs 4 more events across the new
+// four-member group. Disjoint groups interleave freely at the loop, but
+// each member must see its own groups' events exactly in dispatch order.
+func TestMultiGroupExecOrder(t *testing.T) {
 	const groups = 8
 	const eventsPerPhase = 4
-	h := newHarness(t, server.Options{Shards: shards})
+	h := newHarness(t, server.Options{})
 	origins := make([]*participant, groups)
 	members := make([]*participant, groups)
 	for g := 0; g < groups; g++ {
@@ -255,88 +256,63 @@ func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats)
 		origins[g].rc.mustOK(wire.Couple{From: origins[g].ref(), To: members[g].ref()})
 	}
 
-	// Phase 1: every group streams events concurrently with the others.
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := 0; e < eventsPerPhase; e++ {
-				origins[g].sendEvent(t, fmt.Sprintf("g%d.e%d", g, e))
-			}
-		}()
+	// stream runs one phase: each listed origin dispatches its events from
+	// its own goroutine, all concurrently.
+	stream := func(prefix string, step int) {
+		var wg sync.WaitGroup
+		for g := 0; g < groups; g += step {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for e := 0; e < eventsPerPhase; e++ {
+					origins[g].sendEvent(t, fmt.Sprintf("%s%d.e%d", prefix, g, e))
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	phase := func(prefix string, g int) []string {
+		var names []string
+		for e := 0; e < eventsPerPhase; e++ {
+			names = append(names, fmt.Sprintf("%s%d.e%d", prefix, g, e))
+		}
+		return names
+	}
+
+	// Phase 1: every group streams events concurrently with the others.
+	stream("g", 1)
 	for g := 0; g < groups; g++ {
 		g := g
 		waitFor(t, fmt.Sprintf("phase-1 execs at member%d", g), func() bool {
 			return members[g].count() >= eventsPerPhase
 		})
 	}
-
-	// Merge phase: pair up the groups. When sharded, any pair whose groups
-	// hash to different shards migrates — an explicit two-shard handoff.
+	// Merge phase: pair up the groups, then the left origin of each merged
+	// group streams events that fan out to all three other participants.
 	for g := 0; g < groups; g += 2 {
 		origins[g].rc.mustOK(wire.Couple{From: origins[g].ref(), To: origins[g+1].ref()})
 	}
+	stream("m", 2)
 
-	// Phase 2: the left origin of each merged group streams events that now
-	// fan out to all three other participants.
-	for g := 0; g < groups; g += 2 {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := 0; e < eventsPerPhase; e++ {
-				origins[g].sendEvent(t, fmt.Sprintf("m%d.e%d", g, e))
-			}
-		}()
-	}
-	wg.Wait()
-
-	sequences := make(map[string][]string)
-	collect := func(name string, p *participant, want int) {
-		waitFor(t, fmt.Sprintf("%d execs at %s", want, name), func() bool {
-			return p.count() >= want
+	check := func(name string, p *participant, want []string) {
+		waitFor(t, fmt.Sprintf("%d execs at %s", len(want), name), func() bool {
+			return p.count() >= len(want)
 		})
-		sequences[name] = p.sequence()
+		if got := p.sequence(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s re-executed %v, want %v", name, got, want)
+		}
 	}
 	for g := 0; g < groups; g++ {
-		memberWant := eventsPerPhase * 2 // own group's phase 1 + merged phase 2
-		collect(fmt.Sprintf("member%d", g), members[g], memberWant)
-		originWant := 0
-		if g%2 == 1 {
-			originWant = eventsPerPhase // hears the left origin's phase 2
+		left := g &^ 1
+		check(fmt.Sprintf("member%d", g), members[g], append(phase("g", g), phase("m", left)...))
+		var originWant []string
+		if g != left {
+			originWant = phase("m", left) // hears the left origin's phase 2
 		}
-		collect(fmt.Sprintf("origin%d", g), origins[g], originWant)
+		check(fmt.Sprintf("origin%d", g), origins[g], originWant)
 	}
-	// The last Exec being delivered does not mean its acks have landed back
-	// at the server yet; wait for quiescence so the caller's PendingEvents
-	// assertion is not racing the tail of the ack stream.
 	waitFor(t, "all events resolved", func() bool {
 		return h.srv.Stats().PendingEvents == 0
 	})
-	return sequences, h.srv.Stats()
-}
-
-// TestShardRoutingEquivalence is the shard-routing property test: the same
-// trace on a single-loop server and a 4-shard server must yield identical
-// per-member Exec orderings, and the sharded run must have exercised at
-// least one cross-shard group migration.
-func TestShardRoutingEquivalence(t *testing.T) {
-	seq1, _ := runShardTrace(t, 1)
-	seq4, st4 := runShardTrace(t, 4)
-	if !reflect.DeepEqual(seq1, seq4) {
-		t.Errorf("per-member Exec orderings diverge between -shards=1 and -shards=4:\n1: %v\n4: %v", seq1, seq4)
-	}
-	if st4.Shards != 4 {
-		t.Errorf("Stats.Shards = %d, want 4", st4.Shards)
-	}
-	if st4.CrossShardHandoffs == 0 {
-		t.Error("expected at least one cross-shard handoff during the merge phase")
-	}
-	if st4.PendingEvents != 0 {
-		t.Errorf("PendingEvents = %d at quiescence, want 0", st4.PendingEvents)
-	}
 }

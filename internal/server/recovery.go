@@ -4,12 +4,9 @@
 // mutations (without clients, notifications, or broadcasts) rebuilds the
 // server's databases after a crash or restart.
 //
-// Ordering: appends block the calling loop until the record is written (and
-// fsynced under the `always` policy), and global-loop records (register,
-// couple, declare) complete before any dependent event can reach a shard
-// loop — so the single log's record order always respects the causality the
-// loops established, even though shard streams interleave freely between
-// causally unrelated records.
+// Ordering: appends block the state loop until the record is written (and
+// fsynced under the `always` policy), so the log's record order is exactly
+// the order the loop applied the transitions.
 //
 // Replay deliberately does NOT restore the lock table or pending-event wait
 // sets: a logged event was committed (its group lock granted and broadcast
@@ -52,8 +49,8 @@ func (s *Server) logAppend(kind eventlog.Kind, origin couple.InstanceID, group s
 }
 
 // replayLog rebuilds the server databases from the durable log. It runs in
-// New before any loop goroutine starts, so every mutation below touches the
-// freshly built shards single-threaded. Replay starts from the newest
+// New before the loop goroutine starts, so every mutation below touches the
+// freshly built databases single-threaded. Replay starts from the newest
 // decodable snapshot when one exists (reading only post-snapshot bytes),
 // falling back to older snapshots and finally to offset zero. Individually
 // damaged or stale records are skipped with a warning; replay never aborts
@@ -183,18 +180,13 @@ func (s *Server) replayRecord(rec eventlog.Record) {
 		ref := couple.ObjectRef{Instance: origin, Path: m.Path}
 		s.graph.RemoveObject(ref)
 		s.reg.RetractObject(origin, m.Path)
-		sh := s.shardForRef(ref)
-		sh.history.Forget(ref)
-		delete(sh.tails, ref)
-		s.router.dropRef(ref)
+		s.history.Forget(ref)
+		delete(s.tails, ref)
 	case eventlog.KindCouple:
 		m, ok := rec.Env.Msg.(wire.Couple)
 		if !ok {
 			warn("payload is not Couple")
 			return
-		}
-		if s.sharded {
-			s.replayMergeShards(m.From, m.To)
 		}
 		if err := s.graph.AddLink(couple.Link{From: m.From, To: m.To, Creator: origin}); err != nil {
 			warn(err.Error())
@@ -214,16 +206,16 @@ func (s *Server) replayRecord(rec eventlog.Record) {
 			warn("payload is not Exec")
 			return
 		}
-		// Restore the birth shard's sequence so post-restart events get IDs
-		// strictly greater than every logged one. The event itself was
-		// fully resolved or died with its waiters — only the ID allocation
-		// and the late-join tail survive it.
-		sh := s.birthShard(m.EventID)
-		if q := (m.EventID-1)/uint64(len(s.shards)) + 1; q > sh.seq {
-			sh.seq = q
+		// Advance the event sequence so post-restart events get IDs strictly
+		// greater than every logged one. Logs written by a multi-shard server
+		// carry interleaved IDs; the maximum covers them too. The event
+		// itself was fully resolved or died with its waiters — only the ID
+		// allocation and the late-join tail survive it.
+		if m.EventID > s.eventSeq {
+			s.eventSeq = m.EventID
 		}
 		if s.opts.ReplayTail {
-			s.shardForRef(m.Origin).pushTail(m.Origin, m)
+			s.pushTail(m.Origin, m)
 		}
 	case eventlog.KindHist:
 		m, ok := rec.Env.Msg.(wire.CopyTo)
@@ -231,20 +223,18 @@ func (s *Server) replayRecord(rec eventlog.Record) {
 			warn("payload is not CopyTo")
 			return
 		}
-		sh := s.shardForRef(m.To)
-		sh.history.Record(hist.Snapshot{Ref: m.To, State: m.State, Origin: origin})
+		s.history.Record(hist.Snapshot{Ref: m.To, State: m.State, Origin: origin})
 	case eventlog.KindUndo, eventlog.KindRedo:
 		m, ok := rec.Env.Msg.(wire.CopyTo)
 		if !ok {
 			warn("payload is not CopyTo")
 			return
 		}
-		sh := s.shardForRef(m.To)
 		var err error
 		if rec.Kind == eventlog.KindUndo {
-			_, err = sh.history.Undo(m.To, m.State)
+			_, err = s.history.Undo(m.To, m.State)
 		} else {
-			_, err = sh.history.Redo(m.To, m.State)
+			_, err = s.history.Redo(m.To, m.State)
 		}
 		if err != nil {
 			warn(err.Error())
@@ -264,52 +254,14 @@ func (s *Server) replayRecord(rec eventlog.Record) {
 }
 
 // replayDisconnect prunes an instance exactly as dropClient does, minus the
-// connection-shaped parts (outboxes, notifications, pending events — none
-// exist during replay). Session tokens deliberately survive, matching live
-// behavior: a disconnected instance may still resume.
+// connection-shaped parts (outboxes, notifications, locks, pending events —
+// none exist during replay). Session tokens deliberately survive, matching
+// live behavior: a disconnected instance may still resume.
 func (s *Server) replayDisconnect(id couple.InstanceID) {
 	s.graph.RemoveInstance(id)
-	for _, sh := range s.shards {
-		sh.locks.ReleaseInstance(id)
-		sh.history.ForgetInstance(id)
-		for ref := range sh.tails {
-			if ref.Instance == id {
-				delete(sh.tails, ref)
-			}
-		}
-	}
-	s.router.dropInstance(id)
+	s.history.ForgetInstance(id)
+	s.forgetTails(id)
 	s.reg.Deregister(id)
-}
-
-// replayMergeShards is mergeShards for replay time: no loops are running,
-// so the group state moves synchronously instead of via hold markers and
-// install channels. Locks and pending events do not exist during replay;
-// only histories, tails and routes migrate.
-func (s *Server) replayMergeShards(from, to couple.ObjectRef) {
-	shFrom := s.shardForRef(from)
-	shTo := s.shardForRef(to)
-	if shFrom == shTo {
-		return
-	}
-	gFrom := s.graph.Group(from)
-	gTo := s.graph.Group(to)
-	winner, loser, refs := shFrom, shTo, gTo
-	if len(gTo) > len(gFrom) {
-		winner, loser, refs = shTo, shFrom, gFrom
-	}
-	refset := make(map[couple.ObjectRef]bool, len(refs))
-	for _, ref := range refs {
-		refset[ref] = true
-	}
-	s.router.setRoutes(refs, winner.idx)
-	winner.history.Install(loser.history.Extract(refset))
-	for ref := range refset {
-		if t, ok := loser.tails[ref]; ok {
-			winner.tails[ref] = t
-			delete(loser.tails, ref)
-		}
-	}
 }
 
 // replayTails catches a fresh couple link's two sides up on each other's
@@ -317,27 +269,23 @@ func (s *Server) replayMergeShards(from, to couple.ObjectRef) {
 // committed events as ordinary Exec messages through their outboxes, so a
 // late joiner converges from the log tail instead of pulling CopyFrom state
 // from a live peer. gFrom and gTo are the pre-merge groups (nil when
-// ReplayTail is off); it runs on the global loop after AddLink, and the
-// sends hop onto the merged group's shard where the tails live.
+// ReplayTail is off); it runs on the state loop after AddLink.
 func (s *Server) replayTails(gFrom, gTo []couple.ObjectRef) {
 	if !s.opts.ReplayTail || len(gFrom) == 0 || len(gTo) == 0 {
 		return
 	}
-	sh := s.shardForRef(gFrom[0])
-	s.runOnShard(sh, func() {
-		s.sendTail(sh, gFrom, gTo)
-		s.sendTail(sh, gTo, gFrom)
-	})
+	s.sendTail(gFrom, gTo)
+	s.sendTail(gTo, gFrom)
 }
 
 // sendTail streams the sources' retained events, in event-ID order, to
 // every receiver. Acks for the replayed Execs hit the stale-ack tolerance
 // in ackExec (the events resolved long ago), so the catch-up path needs no
 // bookkeeping of its own.
-func (s *Server) sendTail(sh *shard, sources, receivers []couple.ObjectRef) {
+func (s *Server) sendTail(sources, receivers []couple.ObjectRef) {
 	var evs []wire.Exec
 	for _, ref := range sources {
-		for _, te := range sh.tails[ref] {
+		for _, te := range s.tails[ref] {
 			evs = append(evs, te.exec)
 		}
 	}
@@ -356,6 +304,34 @@ func (s *Server) sendTail(sh *shard, sources, receivers []couple.ObjectRef) {
 			}
 			e.TargetPath = member.Path
 			target.out.send(wire.Envelope{Msg: e})
+		}
+	}
+}
+
+// tailEvent is one committed event retained for late-join replay: the full
+// Exec as broadcast, keyed in Server.tails by its source object.
+type tailEvent struct {
+	exec wire.Exec
+}
+
+// maxTailEvents bounds the per-source late-join tail.
+const maxTailEvents = 32
+
+// pushTail retains one committed event in the source object's tail.
+func (s *Server) pushTail(source couple.ObjectRef, exec wire.Exec) {
+	t := append(s.tails[source], tailEvent{exec: exec})
+	if len(t) > maxTailEvents {
+		copy(t, t[1:])
+		t = t[:maxTailEvents]
+	}
+	s.tails[source] = t
+}
+
+// forgetTails drops every tail sourced at one of the instance's objects.
+func (s *Server) forgetTails(id couple.InstanceID) {
+	for ref := range s.tails {
+		if ref.Instance == id {
+			delete(s.tails, ref)
 		}
 	}
 }

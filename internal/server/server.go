@@ -5,12 +5,10 @@
 // of events ("users send their requests for operations to the controller,
 // and then the controller broadcasts these operations to all users", §2.1).
 //
-// Global state (registry, couple graph, sessions, client map) is mutated by
-// one goroutine fed through a request channel, so event ordering is the
-// arrival order at the loop — the serialization guarantee the floor-control
-// design relies on. Group-scoped state (locks, histories, pending events)
-// can additionally be partitioned across per-group shard loops (see
-// shard.go); with one shard the server is exactly the classic single loop.
+// Every database (registry, couple graph, sessions, lock table, histories,
+// pending events) is mutated by one goroutine fed through a request channel,
+// so event ordering is the arrival order at the loop — the serialization
+// guarantee the floor-control design relies on.
 package server
 
 import (
@@ -50,11 +48,9 @@ type Options struct {
 	// OrderedLocking selects the deterministic-order group-locking variant
 	// instead of the paper's sequential algorithm (ablation switch).
 	OrderedLocking bool
-	// Shards is the number of per-group state loops. Group-scoped state —
-	// the lock table, the historical-states database, and the pending-event
-	// wait sets — is partitioned across them by coupling group, so disjoint
-	// groups serialize on different cores (see shard.go). 0 or 1 selects the
-	// classic single serialized loop.
+	// Shards is kept so existing callers still compile.
+	//
+	// Deprecated: ignored. The server always runs one serialized state loop.
 	Shards int
 	// Heartbeat is the liveness probe interval: the server pings every
 	// connection this often and declares an instance dead after
@@ -150,14 +146,6 @@ type Server struct {
 	graph   *couple.Graph
 	perms   *perm.Table
 
-	// shards own the group-scoped state (lock tables, histories, pending
-	// events). With Shards<=1 there is exactly one shard and it shares the
-	// global request channel — the classic single serialized loop. router is
-	// nil unless sharded.
-	shards  []*shard
-	router  *router
-	sharded bool
-
 	tr     *obs.Tracer
 	flight *obs.FlightRecorder
 	slog   *slog.Logger
@@ -174,12 +162,23 @@ type Server struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// clients is written only on the global loop but read from shard loops
-	// and connection read goroutines, so it sits behind a read-mostly lock.
+	// clients is written only on the state loop but also read by Health
+	// from any goroutine, so it sits behind a read-mostly lock.
 	cmu     sync.RWMutex
 	clients map[couple.InstanceID]*client
 
-	// State below is owned by the global loop goroutine.
+	// State below is owned by the state loop goroutine.
+	locks   *lock.Table
+	history *hist.DB
+	// pending holds the broadcast events still awaiting Exec acks, by ID.
+	pending map[uint64]*pendingEvent
+	// tails keeps, per source object, the most recent committed events of
+	// its coupling group — the in-memory mirror of the durable log's tail,
+	// rebuilt by replay on restart. Late joiners receive the merged tail at
+	// couple time (Options.ReplayTail). Bounded by maxTailEvents per ref.
+	tails map[couple.ObjectRef][]tailEvent
+	// eventSeq is the last allocated event ID.
+	eventSeq     uint64
 	pendingFetch map[uint64]*fetch
 	sessions     map[string]sessionRec
 	// sessionTok maps an instance to its one outstanding session token, so
@@ -188,7 +187,7 @@ type Server struct {
 	sessionTok  map[couple.InstanceID]string
 	nextFetchID uint64
 	nextPing    uint64
-	// closing is set (on the global loop) when Close begins tearing down
+	// closing is set (on the state loop) when Close begins tearing down
 	// connections: the drops it provokes are a server shutdown, not client
 	// departures, and must not be logged as KindDisconnect — a restarted
 	// server replays the log and every instance present at shutdown must
@@ -216,11 +215,9 @@ type Server struct {
 	mBytesEncoded  *obs.Counter   // server.bytes_encoded: bytes serialized on the send path
 	mPoolHits      *obs.Counter   // wire.body_pool_hits: shared-body buffers reused from the pool
 	mPoolMisses    *obs.Counter   // wire.body_pool_misses: shared-body buffers freshly allocated
-	mShards        *obs.Gauge     // server.shards: configured shard count
-	mHandoffs      *obs.Counter   // server.cross_shard_handoffs: group migrations between shards
 	mEventTOWait   *obs.Histogram // server.event_timeout_wait_ns: wait span of deadline-resolved events
-	mGlobalBusy    *obs.Counter   // server.global.busy_ns: time the global loop spent executing closures
-	mGlobalDepth   *obs.Gauge     // server.global.queue_depth: global request-channel depth, sampled per dequeue
+	mGlobalBusy    *obs.Counter   // server.global.busy_ns: time the state loop spent executing closures
+	mGlobalDepth   *obs.Gauge     // server.global.queue_depth: request-channel depth, sampled per dequeue
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
 
 	// mMember attributes event health to individual members: per-instance
@@ -305,11 +302,6 @@ type Stats struct {
 	// EventRTT so a single straggler cannot inject a deadline-sized p99
 	// outlier into the round-trip numbers.
 	EventTimeoutWait obs.Summary
-	// Shards is the configured shard count; CrossShardHandoffs counts group
-	// migrations between shards (a couple link joining two groups that lived
-	// on different shards).
-	Shards             int64
-	CrossShardHandoffs uint64
 }
 
 // client is the server-side view of one connected instance.
@@ -347,21 +339,15 @@ type sessionRec struct {
 func New(opts Options) *Server {
 	s := newServer(opts)
 	if opts.EventLog != nil {
-		// Replay the durable log before any loop goroutine starts: every
+		// Replay the durable log before the loop goroutine starts: every
 		// database mutation below runs single-threaded against the freshly
-		// built shards, so recovery needs no posting or locking discipline.
+		// built databases, so recovery needs no posting or locking discipline.
 		s.elog = opts.EventLog
 		s.replayLog()
 		s.snap = newSnapshotter(s)
 	}
 	s.wg.Add(1)
 	go s.loop()
-	if s.sharded {
-		for _, sh := range s.shards {
-			s.wg.Add(1)
-			go s.shardLoop(sh)
-		}
-	}
 	if period := s.sweepPeriod(); period > 0 {
 		s.wg.Add(1)
 		go s.sweeper(period)
@@ -373,7 +359,7 @@ func New(opts Options) *Server {
 	return s
 }
 
-// newServer builds a stopped server: databases, shards and metric handles
+// newServer builds a stopped server: databases and metric handles
 // only — no goroutines, no replay. The snapshot fold replica is built
 // through this same constructor, so snapshot state and live replay state
 // agree by construction.
@@ -390,10 +376,6 @@ func newServer(opts Options) *Server {
 		// same handles, and atomic counters cost next to nothing.
 		metrics = obs.NewRegistry()
 	}
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = 1
-	}
 	s := &Server{
 		opts:         opts,
 		tr:           opts.Tracer,
@@ -403,10 +385,13 @@ func newServer(opts Options) *Server {
 		reg:          registry.NewStore(),
 		graph:        couple.NewGraph(),
 		perms:        perm.NewTable(),
-		sharded:      nshards > 1,
 		reqs:         make(chan func(), 1024),
 		quit:         make(chan struct{}),
 		clients:      make(map[couple.InstanceID]*client),
+		locks:        lock.NewTable(),
+		history:      hist.NewDB(opts.HistoryDepth),
+		pending:      make(map[uint64]*pendingEvent),
+		tails:        make(map[couple.ObjectRef][]tailEvent),
 		pendingFetch: make(map[uint64]*fetch),
 		sessions:     make(map[string]sessionRec),
 		sessionTok:   make(map[couple.InstanceID]string),
@@ -430,8 +415,6 @@ func newServer(opts Options) *Server {
 		mBytesEncoded:  metrics.Counter("server.bytes_encoded"),
 		mPoolHits:      metrics.Counter("wire.body_pool_hits"),
 		mPoolMisses:    metrics.Counter("wire.body_pool_misses"),
-		mShards:        metrics.Gauge("server.shards"),
-		mHandoffs:      metrics.Counter("server.cross_shard_handoffs"),
 		mEventTOWait:   metrics.Histogram("server.event_timeout_wait_ns"),
 		mGlobalBusy:    metrics.Counter("server.global.busy_ns"),
 		mGlobalDepth:   metrics.Gauge("server.global.queue_depth"),
@@ -450,37 +433,9 @@ func newServer(opts Options) *Server {
 	if !opts.foldReplica {
 		wire.InstrumentBodyPool(s.mPoolHits, s.mPoolMisses)
 	}
-	// Every shard's lock table shares the same metric handles, so the
-	// lock.* counters stay aggregate regardless of shard count.
-	lockFails := metrics.Counter("lock.group_failures")
-	for i := 0; i < nshards; i++ {
-		sh := &shard{
-			idx:     i,
-			locks:   lock.NewTable(),
-			history: hist.NewDB(opts.HistoryDepth),
-			pending: make(map[uint64]*pendingEvent),
-			tails:   make(map[couple.ObjectRef][]tailEvent),
-			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
-			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
-			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
-		}
-		sh.locks.Instrument(s.mLockAttempts, lockFails, s.mLockUndone)
-		sh.history.Instrument(s.mHistEvict)
-		sh.locks.TraceWith(opts.Tracer)
-		if s.sharded {
-			sh.reqs = make(chan func(), 1024)
-			sh.installCh = make(chan migrated, 1)
-		} else {
-			// The lone shard shares the global request channel: one loop,
-			// one serialization order, exactly the pre-shard server.
-			sh.reqs = s.reqs
-		}
-		s.shards = append(s.shards, sh)
-	}
-	if s.sharded {
-		s.router = &router{n: nshards, obj: make(map[couple.ObjectRef]int), ev: make(map[uint64]int)}
-	}
-	s.mShards.Set(int64(nshards))
+	s.locks.Instrument(s.mLockAttempts, metrics.Counter("lock.group_failures"), s.mLockUndone)
+	s.history.Instrument(s.mHistEvict)
+	s.locks.TraceWith(opts.Tracer)
 	return s
 }
 
@@ -493,9 +448,7 @@ func (s *Server) logf(format string, args ...any) {
 // loop runs every state mutation in one goroutine. Each dequeue samples the
 // channel depth and each closure is bracketed with busy-time accounting
 // (server.global.busy_ns / .queue_depth) — both no-ops under obs.Disabled,
-// where Start returns the zero time without reading the clock. With one
-// shard this loop also carries shard 0's traffic, so its time shows up here
-// rather than under server.shard.0.busy_ns.
+// where Start returns the zero time without reading the clock.
 func (s *Server) loop() {
 	defer s.wg.Done()
 	for {
@@ -581,30 +534,14 @@ func (s *Server) Close() {
 		close(s.quit)
 	})
 	s.wg.Wait()
-	// Every loop has exited (wg.Wait is the happens-before edge), so the
-	// pending maps are quiescent. Stop the deadline timers of unresolved
+	// The loop has exited (wg.Wait is the happens-before edge), so the
+	// pending map is quiescent. Stop the deadline timers of unresolved
 	// events — a timer left running would outlive the server, and its late
 	// firing only posts (post refuses after quit), so stopping here is safe
 	// and sufficient.
-	for _, sh := range s.shards {
-		for _, pe := range sh.pending {
-			if pe.timer != nil {
-				pe.timer.Stop()
-			}
-		}
-		if sh.installCh == nil {
-			continue
-		}
-		// A migration bundle the receiver never installed (it exited first)
-		// still carries pending events with live timers.
-		select {
-		case m := <-sh.installCh:
-			for _, pe := range m.events {
-				if pe.timer != nil {
-					pe.timer.Stop()
-				}
-			}
-		default:
+	for _, pe := range s.pending {
+		if pe.timer != nil {
+			pe.timer.Stop()
 		}
 	}
 }
@@ -614,64 +551,34 @@ func (s *Server) Stats() Stats {
 	result := make(chan Stats, 1)
 	if !s.post(func() {
 		result <- Stats{
-			Events:             s.mEvents.Value(),
-			LockFailures:       s.mLockFails.Value(),
-			ExecsSent:          s.mExecsSent.Value(),
-			Copies:             s.mCopies.Value(),
-			Instances:          s.reg.Len(),
-			Links:              s.graph.Len(),
-			EventRTT:           s.mEventRTT.Summary(),
-			Fanout:             s.mFanout.Summary(),
-			OutboxDepth:        s.mOutboxDepth.Value(),
-			OutboxHighWater:    s.mOutboxDepth.HighWater(),
-			LockAttempts:       s.mLockAttempts.Value(),
-			LockUndone:         s.mLockUndone.Value(),
-			EventTimeouts:      s.mEventTOs.Value(),
-			Evictions:          s.mEvictions.Value(),
-			LivenessTimeouts:   s.mLivenessTOs.Value(),
-			Resumes:            s.mResumes.Value(),
-			AcksCoalesced:      s.mAcksCoalesced.Value(),
-			BatchSize:          s.mBatchSize.Summary(),
-			BytesEncoded:       s.mBytesEncoded.Value(),
-			BodyPoolHits:       s.mPoolHits.Value(),
-			BodyPoolMisses:     s.mPoolMisses.Value(),
-			PendingEvents:      s.pendingCount(),
-			EventTimeoutWait:   s.mEventTOWait.Summary(),
-			Shards:             s.mShards.Value(),
-			CrossShardHandoffs: s.mHandoffs.Value(),
+			Events:           s.mEvents.Value(),
+			LockFailures:     s.mLockFails.Value(),
+			ExecsSent:        s.mExecsSent.Value(),
+			Copies:           s.mCopies.Value(),
+			Instances:        s.reg.Len(),
+			Links:            s.graph.Len(),
+			EventRTT:         s.mEventRTT.Summary(),
+			Fanout:           s.mFanout.Summary(),
+			OutboxDepth:      s.mOutboxDepth.Value(),
+			OutboxHighWater:  s.mOutboxDepth.HighWater(),
+			LockAttempts:     s.mLockAttempts.Value(),
+			LockUndone:       s.mLockUndone.Value(),
+			EventTimeouts:    s.mEventTOs.Value(),
+			Evictions:        s.mEvictions.Value(),
+			LivenessTimeouts: s.mLivenessTOs.Value(),
+			Resumes:          s.mResumes.Value(),
+			AcksCoalesced:    s.mAcksCoalesced.Value(),
+			BatchSize:        s.mBatchSize.Summary(),
+			BytesEncoded:     s.mBytesEncoded.Value(),
+			BodyPoolHits:     s.mPoolHits.Value(),
+			BodyPoolMisses:   s.mPoolMisses.Value(),
+			PendingEvents:    len(s.pending),
+			EventTimeoutWait: s.mEventTOWait.Summary(),
 		}
 	}) {
 		return Stats{}
 	}
 	return <-result
-}
-
-// pendingCount sums still-pending events across shards. It runs on the
-// global loop; on a sharded server each shard reports its count under its
-// own serialization (shards never wait on the global loop, so the gather
-// cannot deadlock).
-func (s *Server) pendingCount() int {
-	if !s.sharded {
-		return len(s.shards[0].pending)
-	}
-	counts := make(chan int, len(s.shards))
-	posted := 0
-	for _, sh := range s.shards {
-		sh := sh
-		if s.postShard(sh, func() { counts <- len(sh.pending) }) {
-			posted++
-		}
-	}
-	total := 0
-	for i := 0; i < posted; i++ {
-		select {
-		case c := <-counts:
-			total += c
-		case <-s.quit:
-			return total
-		}
-	}
-	return total
 }
 
 // clientOf returns the connected client of an instance. Callable from any
@@ -724,7 +631,10 @@ func (s *Server) handleConn(c *wire.Conn) {
 			break
 		}
 		cl.touch()
-		if !s.dispatchEnv(cl, env) {
+		if !s.post(func() {
+			s.recordFlight(cl, "recv", env)
+			s.handle(cl, env)
+		}) {
 			break
 		}
 	}
@@ -817,7 +727,7 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 // admit installs a freshly identified client and acknowledges the
 // handshake. It runs on the state loop.
 func (s *Server) admit(cl *client, env wire.Envelope) {
-	// Resolve the member's health entry once; shard loops then attribute
+	// Resolve the member's health entry once; the ack path then attributes
 	// acks through the cached pointer without touching the family lock.
 	cl.health = s.mMember.Get(string(cl.id))
 	s.cmu.Lock()

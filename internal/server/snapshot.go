@@ -2,23 +2,25 @@
 // state, so restart replay begins at the snapshot's log offset instead of
 // zero and the eventlog compactor can delete everything older.
 //
-// Consistency without stalls: instead of freezing the live loops to copy
-// their state, the snapshot goroutine maintains an offline *fold replica* —
+// Consistency without stalls: instead of freezing the live loop to copy
+// its state, the snapshot goroutine maintains an offline *fold replica* —
 // a second Server built by the same constructor, never started, advanced
 // only by replaying the durable log's records through the very replayRecord
 // used at startup. A snapshot at offset N is therefore *defined* as
 // fold(records[0:N)) — exactly what a restarting server computes — so
 // snapshot-then-tail-replay equals full replay by construction, and the live
-// shard loops never block on snapshot work.
+// state loop never blocks on snapshot work.
 //
 // The snapshot payload (opaque bytes to the eventlog) carries, in order: the
 // format version, the shard count, the registry ID-allocator sequence, the
 // per-shard event-ID sequences, the registration records with their declared
 // objects, the couple links, the permission rules (insertion order — rule
-// order is semantic), the resumable sessions, the router's explicit route
-// overrides (they persist past decouple and are not derivable from the
-// graph), the per-object undo/redo history stacks, and the bounded per-object
-// late-join event tails.
+// order is semantic), the resumable sessions, the route overrides, the
+// per-object undo/redo history stacks, and the bounded per-object late-join
+// event tails. The shard count, sequences and routes are the layout of the
+// multi-shard server that preceded the single loop: the writer emits one
+// shard, one sequence and no routes, and restore still reads what a
+// multi-shard server wrote (see installState).
 package server
 
 import (
@@ -43,7 +45,7 @@ import (
 const stateVersion = 1
 
 // newFoldServer builds the offline replica the snapshotter folds log records
-// into: same databases, same shard count, no goroutines, no measurement.
+// into: same databases, no goroutines, no measurement.
 func newFoldServer(opts Options) *Server {
 	opts.EventLog = nil
 	opts.Metrics = obs.Disabled
@@ -159,6 +161,8 @@ func (s *Server) Snapshot() error {
 
 // snapState is the decoded form of a snapshot payload.
 type snapState struct {
+	// nshards, shardSeqs and routes describe the layout a multi-shard server
+	// wrote; captureState always fills one shard and no routes.
 	nshards   int
 	regSeq    uint64
 	shardSeqs []uint64
@@ -200,108 +204,119 @@ type snapTail struct {
 // encodeState serializes the server's replayable state. It reads the
 // databases directly, so the caller must own them quiescently — it is only
 // ever called on the snapshotter's fold replica (never the live server).
-func (s *Server) encodeState() []byte {
-	buf := []byte{stateVersion}
-	buf = binary.AppendUvarint(buf, uint64(len(s.shards)))
-	buf = binary.AppendUvarint(buf, s.reg.Seq())
-	for _, sh := range s.shards {
-		buf = binary.AppendUvarint(buf, sh.seq)
-	}
+func (s *Server) encodeState() []byte { return s.captureState().encode() }
 
-	ids := s.reg.Instances() // sorted
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
+// captureState copies the server's replayable state into a snapState, in
+// the payload's canonical (sorted) order.
+func (s *Server) captureState() *snapState {
+	st := &snapState{nshards: 1, regSeq: s.reg.Seq(), shardSeqs: []uint64{s.eventSeq}}
+	for _, id := range s.reg.Instances() { // sorted
 		r, _ := s.reg.Lookup(id)
-		buf = appendSnapStr(buf, string(r.ID))
-		buf = appendSnapStr(buf, r.AppType)
-		buf = appendSnapStr(buf, r.Host)
-		buf = appendSnapStr(buf, r.User)
+		in := snapInst{id: r.ID, appType: r.AppType, host: r.Host, user: r.User}
 		paths := make([]string, 0, len(r.Objects))
 		for p := range r.Objects {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		buf = binary.AppendUvarint(buf, uint64(len(paths)))
 		for _, p := range paths {
-			buf = appendSnapStr(buf, p)
-			buf = appendSnapStr(buf, r.Objects[p])
+			in.objs = append(in.objs, [2]string{p, r.Objects[p]})
 		}
+		st.insts = append(st.insts, in)
 	}
-
-	links := s.graph.Links() // sorted
-	buf = binary.AppendUvarint(buf, uint64(len(links)))
-	for _, l := range links {
-		buf = appendSnapRef(buf, l.From)
-		buf = appendSnapRef(buf, l.To)
-		buf = appendSnapStr(buf, string(l.Creator))
-	}
-
-	rules := s.perms.Rules() // insertion order — order is semantic, keep it
-	buf = binary.AppendUvarint(buf, uint64(len(rules)))
-	for _, r := range rules {
-		buf = appendSnapStr(buf, r.User)
-		buf = appendSnapStr(buf, r.State)
-		buf = binary.AppendUvarint(buf, uint64(r.Right))
-	}
-
+	st.links = s.graph.Links() // sorted
+	st.rules = s.perms.Rules()
 	toks := make([]string, 0, len(s.sessions))
 	for tok := range s.sessions {
 		toks = append(toks, tok)
 	}
 	sort.Strings(toks)
-	buf = binary.AppendUvarint(buf, uint64(len(toks)))
 	for _, tok := range toks {
-		rec := s.sessions[tok]
-		buf = appendSnapStr(buf, tok)
-		buf = appendSnapStr(buf, string(rec.id))
-		buf = appendSnapStr(buf, rec.appType)
-		buf = appendSnapStr(buf, rec.host)
-		buf = appendSnapStr(buf, rec.user)
+		st.sessions = append(st.sessions, snapSession{token: tok, rec: s.sessions[tok]})
+	}
+	for _, ref := range s.history.Refs() { // sorted
+		h := snapHist{ref: ref}
+		h.undo, h.redo = s.history.Stacks(ref)
+		st.hists = append(st.hists, h)
+	}
+	trefs := make([]couple.ObjectRef, 0, len(s.tails))
+	for ref := range s.tails {
+		trefs = append(trefs, ref)
+	}
+	sort.Slice(trefs, func(i, j int) bool { return trefs[i].Less(trefs[j]) })
+	for _, ref := range trefs {
+		tl := snapTail{ref: ref}
+		for _, te := range s.tails[ref] {
+			tl.execs = append(tl.execs, te.exec)
+		}
+		st.tails = append(st.tails, tl)
+	}
+	return st
+}
+
+// encode serializes st; decodeState is its inverse.
+func (st *snapState) encode() []byte {
+	buf := []byte{stateVersion}
+	buf = binary.AppendUvarint(buf, uint64(st.nshards))
+	buf = binary.AppendUvarint(buf, st.regSeq)
+	for _, q := range st.shardSeqs {
+		buf = binary.AppendUvarint(buf, q)
 	}
 
-	var routes []snapRoute
-	if s.router != nil {
-		s.router.mu.RLock()
-		for ref, idx := range s.router.obj {
-			routes = append(routes, snapRoute{ref: ref, shard: idx})
+	buf = binary.AppendUvarint(buf, uint64(len(st.insts)))
+	for _, in := range st.insts {
+		buf = appendSnapStr(buf, string(in.id))
+		buf = appendSnapStr(buf, in.appType)
+		buf = appendSnapStr(buf, in.host)
+		buf = appendSnapStr(buf, in.user)
+		buf = binary.AppendUvarint(buf, uint64(len(in.objs)))
+		for _, obj := range in.objs {
+			buf = appendSnapStr(buf, obj[0])
+			buf = appendSnapStr(buf, obj[1])
 		}
-		s.router.mu.RUnlock()
-		sort.Slice(routes, func(i, j int) bool { return routes[i].ref.Less(routes[j].ref) })
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(routes)))
-	for _, rt := range routes {
+
+	buf = binary.AppendUvarint(buf, uint64(len(st.links)))
+	for _, l := range st.links {
+		buf = appendSnapRef(buf, l.From)
+		buf = appendSnapRef(buf, l.To)
+		buf = appendSnapStr(buf, string(l.Creator))
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(st.rules)))
+	for _, r := range st.rules {
+		buf = appendSnapStr(buf, r.User)
+		buf = appendSnapStr(buf, r.State)
+		buf = binary.AppendUvarint(buf, uint64(r.Right))
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(st.sessions)))
+	for _, ss := range st.sessions {
+		buf = appendSnapStr(buf, ss.token)
+		buf = appendSnapStr(buf, string(ss.rec.id))
+		buf = appendSnapStr(buf, ss.rec.appType)
+		buf = appendSnapStr(buf, ss.rec.host)
+		buf = appendSnapStr(buf, ss.rec.user)
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(st.routes)))
+	for _, rt := range st.routes {
 		buf = appendSnapRef(buf, rt.ref)
 		buf = binary.AppendUvarint(buf, uint64(rt.shard))
 	}
 
-	var hrefs []couple.ObjectRef
-	for _, sh := range s.shards {
-		hrefs = append(hrefs, sh.history.Refs()...)
-	}
-	sort.Slice(hrefs, func(i, j int) bool { return hrefs[i].Less(hrefs[j]) })
-	buf = binary.AppendUvarint(buf, uint64(len(hrefs)))
-	for _, ref := range hrefs {
-		undo, redo := s.shardForRef(ref).history.Stacks(ref)
-		buf = appendSnapRef(buf, ref)
-		buf = appendSnapStack(buf, undo)
-		buf = appendSnapStack(buf, redo)
+	buf = binary.AppendUvarint(buf, uint64(len(st.hists)))
+	for _, h := range st.hists {
+		buf = appendSnapRef(buf, h.ref)
+		buf = appendSnapStack(buf, h.undo)
+		buf = appendSnapStack(buf, h.redo)
 	}
 
-	var trefs []couple.ObjectRef
-	for _, sh := range s.shards {
-		for ref := range sh.tails {
-			trefs = append(trefs, ref)
-		}
-	}
-	sort.Slice(trefs, func(i, j int) bool { return trefs[i].Less(trefs[j]) })
-	buf = binary.AppendUvarint(buf, uint64(len(trefs)))
-	for _, ref := range trefs {
-		tail := s.shardForRef(ref).tails[ref]
-		buf = binary.AppendUvarint(buf, uint64(len(tail)))
-		buf = appendSnapRef(buf, ref)
-		for _, te := range tail {
-			env := wire.AppendEnvelope(nil, wire.Envelope{Msg: te.exec})
-			buf = appendSnapBytes(buf, env)
+	buf = binary.AppendUvarint(buf, uint64(len(st.tails)))
+	for _, tl := range st.tails {
+		buf = binary.AppendUvarint(buf, uint64(len(tl.execs)))
+		buf = appendSnapRef(buf, tl.ref)
+		for _, e := range tl.execs {
+			buf = appendSnapBytes(buf, wire.AppendEnvelope(nil, wire.Envelope{Msg: e}))
 		}
 	}
 	return buf
@@ -547,12 +562,13 @@ func decodeState(payload []byte) (*snapState, error) {
 }
 
 // installState applies a decoded snapshot to a freshly built server (live at
-// startup before any loop runs, or the fold replica at seeding). Mutations
-// mirror replayRecord's: same databases, same placement rules. When the
-// snapshot's shard count differs from this server's, per-shard sequences are
-// re-based conservatively past the largest possible allocated event ID and
-// every multi-member group is re-colocated, so event IDs stay unique and
-// groups stay single-shard under any -shards change across a restart.
+// startup before the loop runs, or the fold replica at seeding). Mutations
+// mirror replayRecord's. A snapshot written by a server with N state shards
+// carries N interleaved event sequences — shard i allocated the IDs i+1,
+// i+1+N, i+1+2N, … — so the event sequence resumes past the largest ID any
+// stored sequence could have allocated; with one shard that is the stored
+// sequence itself. Stored route overrides only placed groups on shards and
+// are ignored.
 func (s *Server) installState(st *snapState) {
 	warn := func(what string, err error) {
 		s.slog.Warn("snapshot install skipped "+what, "err", err)
@@ -586,54 +602,22 @@ func (s *Server) installState(st *snapState) {
 		s.sessions[ss.token] = ss.rec
 		s.sessionTok[ss.rec.id] = ss.token
 	}
-	if st.nshards == len(s.shards) {
-		for i, sh := range s.shards {
-			sh.seq = st.shardSeqs[i]
+	for i, q := range st.shardSeqs {
+		if q == 0 {
+			continue
 		}
-		if s.sharded {
-			for _, rt := range st.routes {
-				s.router.setRoutes([]couple.ObjectRef{rt.ref}, rt.shard)
-			}
-		}
-	} else {
-		// Shard-count change across restart: stored sequences and routes are
-		// meaningless here. Re-base every shard's sequence past the largest
-		// event ID the stored sequences could have allocated, and re-colocate
-		// each coupling group on its first member's hash shard.
-		var maxID uint64
-		for i, q := range st.shardSeqs {
-			if q == 0 {
-				continue
-			}
-			if id := (q-1)*uint64(st.nshards) + uint64(i) + 1; id > maxID {
-				maxID = id
-			}
-		}
-		n := uint64(len(s.shards))
-		base := (maxID + n - 1) / n
-		for _, sh := range s.shards {
-			sh.seq = base
-		}
-		if s.sharded {
-			for _, group := range s.graph.Groups() {
-				refs := append([]couple.ObjectRef(nil), group...)
-				sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
-				target := int(hashRef(refs[0]) % uint32(len(s.shards)))
-				s.router.setRoutes(refs, target)
-			}
+		if id := (q-1)*uint64(st.nshards) + uint64(i) + 1; id > s.eventSeq {
+			s.eventSeq = id
 		}
 	}
-	// Histories and tails place by shardForRef, which consults the routes
-	// installed above — so they land exactly where replay would put them.
 	for _, h := range st.hists {
-		s.shardForRef(h.ref).history.Restore(h.ref, h.undo, h.redo)
+		s.history.Restore(h.ref, h.undo, h.redo)
 	}
 	for _, tl := range st.tails {
-		sh := s.shardForRef(tl.ref)
 		tes := make([]tailEvent, 0, len(tl.execs))
 		for _, e := range tl.execs {
 			tes = append(tes, tailEvent{exec: e})
 		}
-		sh.tails[tl.ref] = tes
+		s.tails[tl.ref] = tes
 	}
 }

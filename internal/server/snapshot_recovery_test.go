@@ -12,9 +12,14 @@ package server
 //     requiring the replayed digest to ALWAYS equal the full-script shadow
 //     (snapshots sit beside the log; crashing one may only lose the
 //     shortcut, never an acked record);
-//   - a restart-equivalence check, sharded and unsharded, that a
-//     post-snapshot restart replays zero log records yet lands on the same
-//     digest as a live server driven with the whole script.
+//   - a restart-equivalence check that a post-snapshot restart replays zero
+//     log records yet lands on the same digest as a live server driven with
+//     the whole script.
+//
+// The cut and restart checks run once per snapshot layout: "shards-1" is
+// the payload the single-loop writer emits; "shards-N" is the same state in
+// the layout a server with N state shards wrote (interleaved per-shard
+// event sequences plus route overrides), which restore must still accept.
 
 import (
 	"bytes"
@@ -36,7 +41,7 @@ import (
 // foldDigest renders a fold replica's state directly (fold servers run no
 // loops, so the posting crashDigest would hang) and widens the crash digest
 // with every other input the snapshot codec must preserve: the registry ID
-// sequence, resumable sessions, route overrides and late-join event tails.
+// sequence, resumable sessions and late-join event tails.
 func foldDigest(s *Server) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "regseq %d\n", s.reg.Seq())
@@ -51,34 +56,43 @@ func foldDigest(s *Server) string {
 		fmt.Fprintf(&b, "session %s id=%s type=%s host=%s user=%s\n",
 			tok, rec.id, rec.appType, rec.host, rec.user)
 	}
-	if s.router != nil {
-		s.router.mu.RLock()
-		routes := make([]snapRoute, 0, len(s.router.obj))
-		for ref, idx := range s.router.obj {
-			routes = append(routes, snapRoute{ref: ref, shard: idx})
-		}
-		s.router.mu.RUnlock()
-		sort.Slice(routes, func(i, j int) bool { return routes[i].ref.Less(routes[j].ref) })
-		for _, rt := range routes {
-			fmt.Fprintf(&b, "route %s -> %d\n", rt.ref, rt.shard)
-		}
+	renderEventState(&b, s)
+	trefs := make([]couple.ObjectRef, 0, len(s.tails))
+	for ref := range s.tails {
+		trefs = append(trefs, ref)
 	}
-	for i, sh := range s.shards {
-		renderShardState(&b, i, sh)
-		trefs := make([]couple.ObjectRef, 0, len(sh.tails))
-		for ref := range sh.tails {
-			trefs = append(trefs, ref)
+	sort.Slice(trefs, func(a, c int) bool { return trefs[a].Less(trefs[c]) })
+	for _, ref := range trefs {
+		fmt.Fprintf(&b, "tail %s [", ref)
+		for _, te := range s.tails[ref] {
+			fmt.Fprintf(&b, " %x", wire.AppendEnvelope(nil, wire.Envelope{Msg: te.exec}))
 		}
-		sort.Slice(trefs, func(a, c int) bool { return trefs[a].Less(trefs[c]) })
-		for _, ref := range trefs {
-			fmt.Fprintf(&b, "tail %s [", ref)
-			for _, te := range sh.tails[ref] {
-				fmt.Fprintf(&b, " %x", wire.AppendEnvelope(nil, wire.Envelope{Msg: te.exec}))
-			}
-			fmt.Fprint(&b, " ]\n")
-		}
+		fmt.Fprint(&b, " ]\n")
 	}
 	return b.String()
+}
+
+// multiShardLayout re-expresses a single-loop snapshot in the layout a server
+// with n state shards wrote for the same history: shard i allocated the
+// event IDs i+1, i+1+n, …, so each shard's sequence counts its IDs up to
+// the stored maximum, and every link endpoint carries a route override.
+// Restoring either layout must yield the same server.
+func multiShardLayout(st *snapState, n int) *snapState {
+	out := *st
+	maxID := st.shardSeqs[0]
+	out.nshards = n
+	out.shardSeqs = make([]uint64, n)
+	for i := range out.shardSeqs {
+		if first := uint64(i) + 1; maxID >= first {
+			out.shardSeqs[i] = (maxID-first)/uint64(n) + 1
+		}
+	}
+	out.routes = nil
+	for i, l := range st.links {
+		out.routes = append(out.routes,
+			snapRoute{ref: l.From, shard: i % n}, snapRoute{ref: l.To, shard: (i + 1) % n})
+	}
+	return &out
 }
 
 // genRecords derives a deterministic record script from rng: a weighted walk
@@ -180,14 +194,14 @@ func genRecords(rng *rand.Rand) []eventlog.Record {
 // the snapshot codec, and replaying the tail yields exactly the state of a
 // full replay from zero — same digest, same canonical encoding bytes.
 func TestSnapshotCutEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+	for _, layout := range []int{1, 3} {
+		layout := layout
+		t.Run(fmt.Sprintf("shards-%d", layout), func(t *testing.T) {
 			prop := func(seed int64, rawCut uint16) bool {
 				rng := rand.New(rand.NewSource(seed))
 				recs := genRecords(rng)
 				cut := int(rawCut) % (len(recs) + 1)
-				opts := Options{Shards: shards, ReplayTail: true}
+				opts := Options{ReplayTail: true}
 
 				full := newFoldServer(opts)
 				for _, r := range recs {
@@ -198,7 +212,11 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 				for _, r := range recs[:cut] {
 					base.replayRecord(r)
 				}
-				st, err := decodeState(base.encodeState())
+				payload := base.encodeState()
+				if layout > 1 {
+					payload = multiShardLayout(base.captureState(), layout).encode()
+				}
+				st, err := decodeState(payload)
 				if err != nil {
 					t.Logf("seed %d cut %d/%d: decode: %v", seed, cut, len(recs), err)
 					return false
@@ -301,25 +319,37 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestartEquivalence restarts a snapshotted server, sharded and
-// unsharded, and requires the replay to start from the snapshot — zero log
-// records read — while landing on exactly the digest of a live server
-// driven with the whole script.
+// TestSnapshotRestartEquivalence restarts a snapshotted server and requires
+// the replay to start from the snapshot — zero log records read — while
+// landing on exactly the digest of a live server driven with the whole
+// script. The shards-4 case rewrites the snapshot in the layout a 4-shard
+// server wrote before restarting.
 func TestSnapshotRestartEquivalence(t *testing.T) {
 	ops := crashOps()
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+	for _, layout := range []int{1, 4} {
+		layout := layout
+		t.Run(fmt.Sprintf("shards-%d", layout), func(t *testing.T) {
 			dir := t.TempDir()
 			elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rig := newCrashRig(t, Options{EventLog: elog, Shards: shards})
+			rig := newCrashRig(t, Options{EventLog: elog})
 			for _, run := range ops {
 				run(rig)
 			}
 			rig.mustOK(rig.srv.Snapshot())
+			if layout > 1 {
+				snaps, err := elog.Snapshots()
+				if err != nil || len(snaps) == 0 {
+					t.Fatalf("snapshots = %v, %v", snaps, err)
+				}
+				st, err := decodeState(snaps[0].Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rig.mustOK(elog.WriteSnapshot(snaps[0].Offset, multiShardLayout(st, layout).encode()))
+			}
 			rig.shutdown()
 			if err := elog.Close(); err != nil {
 				t.Fatal(err)
@@ -330,7 +360,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recovered := newCrashRig(t, Options{EventLog: elog2, Shards: shards})
+			recovered := newCrashRig(t, Options{EventLog: elog2})
 			got := crashDigest(recovered.srv)
 			recovered.shutdown()
 			if err := elog2.Close(); err != nil {
@@ -345,7 +375,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 				t.Fatalf("snapshot restart replayed %d log records; want 0 (snapshot covers the whole log)", n)
 			}
 
-			shadow := newCrashRig(t, Options{Shards: shards})
+			shadow := newCrashRig(t, Options{})
 			for _, run := range ops {
 				run(shadow)
 			}

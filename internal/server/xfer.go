@@ -136,29 +136,23 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 	}
 	s.requestState(cl, to, false,
 		func(old widget.TreeState) {
-			// The backup lands in the destination group's shard-owned
-			// history, so the write hops onto that shard's loop (inline on a
-			// single-shard server).
-			sh := s.shardForRef(to)
-			s.runOnShard(sh, func() {
-				sh.history.Record(hist.Snapshot{Ref: to, State: old, Origin: cl.id, At: s.now()})
-				// The logged CopyTo carries the overwritten state: replaying
-				// it re-records exactly this backup.
-				s.logAppend(eventlog.KindHist, cl.id, stateID(to), wire.CopyTo{To: to, State: old})
-				target, ok := s.clientOf(to.Instance)
-				if !ok {
-					s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
-					return
-				}
-				target.out.send(wire.Envelope{Msg: wire.ApplyState{
-					Path:        to.Path,
-					State:       state,
-					Origin:      cl.id,
-					Destructive: destructive,
-				}})
-				s.mCopies.Inc()
-				s.reply(cl, seq, nil)
-			})
+			s.history.Record(hist.Snapshot{Ref: to, State: old, Origin: cl.id, At: s.now()})
+			// The logged CopyTo carries the overwritten state: replaying it
+			// re-records exactly this backup.
+			s.logAppend(eventlog.KindHist, cl.id, stateID(to), wire.CopyTo{To: to, State: old})
+			target, ok := s.clientOf(to.Instance)
+			if !ok {
+				s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
+				return
+			}
+			target.out.send(wire.Envelope{Msg: wire.ApplyState{
+				Path:        to.Path,
+				State:       state,
+				Origin:      cl.id,
+				Destructive: destructive,
+			}})
+			s.mCopies.Inc()
+			s.reply(cl, seq, nil)
 		},
 		func(reason string) {
 			s.reply(cl, seq, fmt.Errorf("server: backing up %s: %s", stateID(to), reason))
@@ -228,42 +222,38 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 	}
 	s.requestState(cl, ref, false,
 		func(current widget.TreeState) {
-			// Undo/redo mutates the object's shard-owned history stacks.
-			sh := s.shardForRef(ref)
-			s.runOnShard(sh, func() {
-				var snap hist.Snapshot
-				var err error
+			var snap hist.Snapshot
+			var err error
+			if undo {
+				snap, err = s.history.Undo(ref, current)
+			} else {
+				snap, err = s.history.Redo(ref, current)
+			}
+			if err == nil {
+				// The logged CopyTo carries the pre-walk current state — the
+				// value the walk pushed on the opposite stack — so replaying
+				// the walk reproduces both stacks.
+				kind := eventlog.KindRedo
 				if undo {
-					snap, err = sh.history.Undo(ref, current)
-				} else {
-					snap, err = sh.history.Redo(ref, current)
+					kind = eventlog.KindUndo
 				}
-				if err == nil {
-					// The logged CopyTo carries the pre-walk current state —
-					// the value the walk pushed on the opposite stack — so
-					// replaying the walk reproduces both stacks.
-					kind := eventlog.KindRedo
-					if undo {
-						kind = eventlog.KindUndo
-					}
-					s.logAppend(kind, cl.id, stateID(ref), wire.CopyTo{To: ref, State: current})
-				}
-				if err != nil {
-					if errors.Is(err, hist.ErrEmpty) {
-						s.reply(cl, seq, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
-						return
-					}
-					s.reply(cl, seq, err)
+				s.logAppend(kind, cl.id, stateID(ref), wire.CopyTo{To: ref, State: current})
+			}
+			if err != nil {
+				if errors.Is(err, hist.ErrEmpty) {
+					s.reply(cl, seq, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
 					return
 				}
-				cl.out.send(wire.Envelope{Msg: wire.ApplyState{
-					Path:        path,
-					State:       snap.State,
-					Origin:      snap.Origin,
-					Destructive: true,
-				}})
-				s.reply(cl, seq, nil)
-			})
+				s.reply(cl, seq, err)
+				return
+			}
+			cl.out.send(wire.Envelope{Msg: wire.ApplyState{
+				Path:        path,
+				State:       snap.State,
+				Origin:      snap.Origin,
+				Destructive: true,
+			}})
+			s.reply(cl, seq, nil)
 		},
 		func(reason string) {
 			s.reply(cl, seq, fmt.Errorf("server: reading current state of %s: %s", stateID(ref), reason))

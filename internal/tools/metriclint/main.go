@@ -5,7 +5,7 @@
 //
 // Registrations are found by scanning non-test Go files for
 // Counter/Gauge/Histogram/Family calls whose name argument is a string
-// literal or an fmt.Sprintf with a literal format (the `%d` shard index
+// literal or an fmt.Sprintf with a literal format (a `%d` verb
 // renders as the README's `<i>` placeholder). A Family registration expands
 // to one name per schema sub-metric (`<family>.<counter>`, `<family>.<hist>`,
 // `<family>.<ewma>`). Calls with non-literal name arguments — e.g. index-
