@@ -64,6 +64,9 @@ bench:
 
 # Exercises the cosoft-load generator end to end against an in-process
 # server — 64 clients in 2 groups for ~5 seconds — so the load harness
-# itself cannot rot. Reports only; no trajectory row is written.
+# itself cannot rot, then forms one 512-member group for a single event, so
+# the group-formation (join) path runs at scale. Reports only; no
+# trajectory row is written.
 load-smoke:
 	$(GO) run ./cmd/cosoft-load -groups 2 -group-size 32 -duration 5s
+	$(GO) run ./cmd/cosoft-load -groups 1 -group-size 512 -events 1

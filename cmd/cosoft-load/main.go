@@ -24,7 +24,10 @@
 // The summary row reports per-group-aggregated p50/p99 dispatch RTT (origin
 // Event → server EventResult, the floor-acquisition latency every user
 // feels), events/sec, and — in-process — B/event, allocs/event and
-// bytes-encoded/event. With -bench-out the same numbers are appended to the
+// bytes-encoded/event. Group formation is reported apart, as setup_s (until
+// every member's mirror holds its whole group) and, in-process,
+// setup_bytes_encoded; bytes-encoded/event counts only what was encoded
+// after setup. With -bench-out the same numbers are appended to the
 // BENCH_obs.json trajectory next to the go-test benchmark rows.
 package main
 
@@ -204,7 +207,23 @@ func run(cfg config) error {
 			fmt.Printf("cosoft-load: group %d ready (%d members)\n", g, cfg.groupSize)
 		}
 	}
+	// Setup ends when every member's mirror holds its whole group, so the
+	// setup numbers cover all group-formation traffic and the steady-state
+	// numbers none of it.
+	mirrorDeadline := time.Now().Add(2 * time.Minute)
+	for _, cl := range all {
+		for len(cl.CO("/hub")) != cfg.groupSize-1 {
+			if time.Now().After(mirrorDeadline) {
+				return fmt.Errorf("setup: %s mirrors %d of %d group members", cl.ID(), len(cl.CO("/hub")), cfg.groupSize-1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	setupTime := time.Since(start)
+	var setupBytes uint64
+	if srv != nil {
+		setupBytes = srv.Stats().BytesEncoded
+	}
 
 	// Generate: one driver goroutine per group origin.
 	var ms0, ms1 runtime.MemStats
@@ -302,8 +321,8 @@ func run(cfg config) error {
 	allocsPerEvent := float64(ms1.Mallocs-ms0.Mallocs) / float64(total.events)
 
 	name := fmt.Sprintf("cosoft-load/g%dx%d", cfg.groups, cfg.groupSize)
-	fmt.Printf("%s: %d events in %.2fs (%.0f events/sec, %d floor rejections, setup %.2fs)\n",
-		name, total.events, loadTime.Seconds(), eps, total.rejections, setupTime.Seconds())
+	fmt.Printf("%s: %d events in %.2fs (%.0f events/sec, %d floor rejections)\n",
+		name, total.events, loadTime.Seconds(), eps, total.rejections)
 	fmt.Printf("%s: dispatch RTT p50=%s p99=%s max=%s\n", name, p50, p99, quantile(1))
 	extra := map[string]float64{
 		"groups":         float64(cfg.groups),
@@ -312,19 +331,24 @@ func run(cfg config) error {
 		"events_per_sec": eps,
 		"p50_rtt_ns":     float64(p50.Nanoseconds()),
 		"p99_rtt_ns":     float64(p99.Nanoseconds()),
+		"setup_s":        setupTime.Seconds(),
 		"num_cpu":        float64(runtime.NumCPU()),
 	}
 	var stats server.Stats
-	if srv != nil {
+	if srv == nil {
+		fmt.Printf("%s: setup_s=%.2f\n", name, setupTime.Seconds())
+	} else {
 		stats = srv.Stats()
+		steadyBytes := float64(stats.BytesEncoded - setupBytes)
+		fmt.Printf("%s: setup_s=%.2f setup_bytes_encoded=%d\n", name, setupTime.Seconds(), setupBytes)
 		fmt.Printf("%s: B/event=%.0f allocs/event=%.1f bytes-encoded/event=%.0f pool hit/miss=%d/%d\n",
-			name, bPerEvent, allocsPerEvent,
-			float64(stats.BytesEncoded)/float64(total.events),
+			name, bPerEvent, allocsPerEvent, steadyBytes/float64(total.events),
 			stats.BodyPoolHits, stats.BodyPoolMisses)
+		extra["setup_bytes_encoded"] = float64(setupBytes)
 		extra["b_per_event"] = bPerEvent
 		extra["allocs_per_event"] = allocsPerEvent
 		extra["bytes_encoded"] = float64(stats.BytesEncoded)
-		extra["bytes_enc_per_event"] = float64(stats.BytesEncoded) / float64(total.events)
+		extra["bytes_enc_per_event"] = steadyBytes / float64(total.events)
 		extra["body_pool_hits"] = float64(stats.BodyPoolHits)
 		extra["body_pool_misses"] = float64(stats.BodyPoolMisses)
 	}
@@ -340,6 +364,9 @@ func run(cfg config) error {
 	}{Bench: name, N: total.events, EventRTT: stats.EventRTT, Extra: extra}
 	if reg != nil {
 		row.Snapshot = reg.Snapshot()
+		// One entry per member: at 1024 members that is most of a
+		// megabyte of per-connection detail in a trajectory row.
+		row.Snapshot.Families = nil
 	}
 	return benchio.AppendRow(cfg.benchOut, row, "")
 }

@@ -428,9 +428,30 @@ func (c *Client) supervise() {
 			return
 		}
 		c.mu.Lock()
+		if c.closed {
+			// Close ran during the redial and closed the connection it
+			// saw, not this one.
+			c.mu.Unlock()
+			next.Close()
+			return
+		}
 		c.conn = next
 		c.mu.Unlock()
 		conn = next
+		// The mirror may hold removals this client never heard while it was
+		// away. Keep the list of its own links for resync to re-create and
+		// swap the mirror, in one step, for the closure the server sent
+		// ahead of the handshake reply: the links the session still holds
+		// (after a server restart), or none (after the server dropped it,
+		// when each re-couple delivers its group's links as a merge).
+		own := c.links.InstanceLinks(c.id)
+		var closure []couple.Link
+		for _, env := range pre {
+			if m, ok := env.Msg.(wire.LinkAdded); ok {
+				closure = append(closure, m.Link)
+			}
+		}
+		c.links.Replace(closure)
 		// Traffic the server flushed around the handshake reply (stashed by
 		// resume) is routed before the read loop takes over, preserving the
 		// server's send order. A routing failure means the fresh connection
@@ -444,7 +465,7 @@ func (c *Client) supervise() {
 		// the loop to route replies. Safe to Add here: supervise itself holds
 		// the WaitGroup above zero.
 		c.wg.Add(1)
-		go c.resync()
+		go c.resync(own)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cosoft/internal/couple"
 	"cosoft/internal/wire"
 )
 
@@ -211,12 +212,13 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
 
 // resync restores the server's view of this instance after a resume: the
 // disconnect cost the server every declaration and couple link of the old
-// incarnation, while the local mirror kept them. Declarations are replayed,
-// links touching this instance are re-created (idempotent at the server's
-// mirrors), and every re-coupled object pulls a peer's current state via the
-// CopyFrom path, so local state converges with whatever the group did while
-// this client was gone.
-func (c *Client) resync() {
+// incarnation. Declarations are replayed, own — the links that touched this
+// instance before the disconnect — are re-created (idempotent at the
+// server; each one that merges groups delivers the other side's links to
+// the mirror), and every re-coupled object pulls a peer's current state via
+// the CopyFrom path, so local state converges with whatever the group did
+// while this client was gone.
+func (c *Client) resync(own []couple.Link) {
 	defer c.wg.Done()
 	var firstErr error
 	fail := func(err error) {
@@ -250,17 +252,17 @@ func (c *Client) resync() {
 			fail(fmt.Errorf("re-declare %s: %w", p, err))
 		}
 	}
-	for _, l := range c.links.Links() {
-		if l.From.Instance != c.id && l.To.Instance != c.id {
-			continue
-		}
+	for _, l := range own {
 		if err := c.callOK(wire.Couple{From: l.From, To: l.To}); err != nil {
 			fail(fmt.Errorf("re-couple %s -> %s: %w", l.From, l.To, err))
 		}
 	}
-	// With SkipStatePull the re-coupling above already triggered the
-	// server's log-tail replay: recent group events arrive as ordinary
-	// Execs, so no live peer needs to serve a blocking state capture.
+	// With SkipStatePull the server's log-tail replay catches up instead:
+	// after a server restart it sends the events committed since the
+	// restart right after the handshake reply, and after a drop each
+	// re-couple merges groups and replays the other side's tail. Either way
+	// recent group events arrive as ordinary Execs, so no live peer needs
+	// to serve a blocking state capture.
 	if !c.opts.Reconnect.SkipStatePull {
 		for _, p := range paths {
 			for _, peer := range c.links.CO(c.Ref(p)) {

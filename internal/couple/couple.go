@@ -177,7 +177,19 @@ func (g *Graph) CO(o ObjectRef) []ObjectRef {
 // itself.
 func (g *Graph) Group(o ObjectRef) []ObjectRef {
 	g.mu.RLock()
-	defer g.mu.RUnlock()
+	seen := g.reach(o)
+	g.mu.RUnlock()
+	out := make([]ObjectRef, 0, len(seen))
+	for ref := range seen {
+		out = append(out, ref)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// reach returns the set of objects connected to o, o included. The caller
+// holds g.mu.
+func (g *Graph) reach(o ObjectRef) map[ObjectRef]bool {
 	seen := map[ObjectRef]bool{o: true}
 	queue := []ObjectRef{o}
 	for len(queue) > 0 {
@@ -190,12 +202,7 @@ func (g *Graph) Group(o ObjectRef) []ObjectRef {
 			}
 		}
 	}
-	out := make([]ObjectRef, 0, len(seen))
-	for ref := range seen {
-		out = append(out, ref)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return seen
 }
 
 // Coupled reports whether o participates in any couple link.
@@ -217,18 +224,44 @@ func (g *Graph) Links() []Link {
 	return out
 }
 
-// LinksOf returns the links incident to o in deterministic order.
-func (g *Graph) LinksOf(o ObjectRef) []Link {
+// GroupLinks returns o's coupling group, as Group does, and every link of
+// that group, both in deterministic order: one breadth-first walk for the
+// members, then one pass over the links.
+func (g *Graph) GroupLinks(o ObjectRef) ([]ObjectRef, []Link) {
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []Link
+	in := g.reach(o)
+	var links []Link
 	for l := range g.links {
-		if l.From == o || l.To == o {
-			out = append(out, l)
+		if in[l.From] {
+			links = append(links, l)
 		}
 	}
-	sortLinks(out)
-	return out
+	g.mu.RUnlock()
+	members := make([]ObjectRef, 0, len(in))
+	for ref := range in {
+		members = append(members, ref)
+	}
+	sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
+	sortLinks(links)
+	return members, links
+}
+
+// Replace swaps the whole relation for links in one step, so a concurrent
+// reader sees either the old relation or the new one. Self-links are
+// skipped.
+func (g *Graph) Replace(links []Link) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.links = make(map[Link]struct{}, len(links))
+	g.adj = make(map[ObjectRef]map[ObjectRef]int)
+	for _, l := range links {
+		if _, dup := g.links[l]; dup || l.From == l.To {
+			continue
+		}
+		g.links[l] = struct{}{}
+		g.bump(l.From, l.To, 1)
+		g.bump(l.To, l.From, 1)
+	}
 }
 
 // InstanceLinks returns the links incident to any object of the instance in

@@ -141,18 +141,25 @@ func TestRemoveInstance(t *testing.T) {
 	}
 }
 
-func TestLinksAndLinksOf(t *testing.T) {
+func TestLinksAndGroupLinks(t *testing.T) {
 	g := NewGraph()
-	a, b, c := ref("i1", "/a"), ref("i2", "/b"), ref("i3", "/c")
+	a, b, c, d := ref("i1", "/a"), ref("i2", "/b"), ref("i3", "/c"), ref("i4", "/d")
 	l1 := Link{From: b, To: a, Creator: "i2"}
 	l2 := Link{From: a, To: c, Creator: "i1"}
+	l3 := Link{From: d, To: ref("i5", "/e"), Creator: "i4"}
 	g.AddLink(l1)
 	g.AddLink(l2)
-	if got := g.Links(); !reflect.DeepEqual(got, []Link{l2, l1}) {
+	g.AddLink(l3)
+	if got := g.Links(); !reflect.DeepEqual(got, []Link{l2, l1, l3}) {
 		t.Errorf("Links = %v", got)
 	}
-	if got := g.LinksOf(c); !reflect.DeepEqual(got, []Link{l2}) {
-		t.Errorf("LinksOf(c) = %v", got)
+	if members, links := g.GroupLinks(c); !reflect.DeepEqual(members, []ObjectRef{a, b, c}) ||
+		!reflect.DeepEqual(links, []Link{l2, l1}) {
+		t.Errorf("GroupLinks(c) = %v, %v", members, links)
+	}
+	z := ref("i9", "/z")
+	if members, links := g.GroupLinks(z); !reflect.DeepEqual(members, []ObjectRef{z}) || len(links) != 0 {
+		t.Errorf("GroupLinks(uncoupled) = %v, %v", members, links)
 	}
 }
 

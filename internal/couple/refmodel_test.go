@@ -3,6 +3,7 @@ package couple
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -87,9 +88,26 @@ func (m *refModel) co(o ObjectRef) []ObjectRef {
 	return out
 }
 
+// groupLinks lists the links of o's group. Every link the property adds is
+// created by its source's instance.
+func (m *refModel) groupLinks(o ObjectRef) []Link {
+	in := map[ObjectRef]bool{o: true}
+	for _, c := range m.co(o) {
+		in[c] = true
+	}
+	var out []Link
+	for k, count := range m.edges {
+		if count > 0 && in[k[0]] {
+			out = append(out, Link{From: k[0], To: k[1], Creator: k[0].Instance})
+		}
+	}
+	sortLinks(out)
+	return out
+}
+
 // TestPropGraphMatchesReferenceModel drives the real graph and the oracle
-// with the same random operation sequence and compares CO(o) for every
-// object after every step.
+// with the same random operation sequence and compares CO(o) and
+// GroupLinks(o) for every object after every step.
 func TestPropGraphMatchesReferenceModel(t *testing.T) {
 	objs := make([]ObjectRef, 0, 9)
 	for i := 0; i < 3; i++ {
@@ -139,6 +157,23 @@ func TestPropGraphMatchesReferenceModel(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Logf("seed %d step %d: CO(%v) = %v, oracle %v", seed, step, o, got, want)
+					return false
+				}
+			}
+			for _, o := range objs {
+				members, got := g.GroupLinks(o)
+				wantMembers := append(ref.co(o), o)
+				sort.Slice(wantMembers, func(i, j int) bool { return wantMembers[i].Less(wantMembers[j]) })
+				if !reflect.DeepEqual(members, wantMembers) {
+					t.Logf("seed %d step %d: GroupLinks(%v) members = %v, oracle %v", seed, step, o, members, wantMembers)
+					return false
+				}
+				want := ref.groupLinks(o)
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d step %d: GroupLinks(%v) = %v, oracle %v", seed, step, o, got, want)
 					return false
 				}
 			}

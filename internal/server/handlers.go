@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -125,10 +126,7 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	// it afterwards loses the members connected only through the retracted
 	// object, so the split halves would keep stale mirrored links.
 	members := s.graph.Group(ref)
-	removed := s.graph.RemoveObject(ref)
-	for _, l := range removed {
-		s.notifyLink(members, l, false)
-	}
+	s.notifyLinks(members, s.graph.RemoveObject(ref), false)
 	s.reg.RetractObject(cl.id, m.Path)
 	s.history.Forget(ref)
 	delete(s.tails, ref)
@@ -167,35 +165,33 @@ func (s *Server) coupleRefs(cl *client, from, to couple.ObjectRef) error {
 		return fmt.Errorf("server: classes %q and %q are not compatible", classFrom, classTo)
 	}
 	l := couple.Link{From: from, To: to, Creator: cl.id}
-	// Snapshot the two pre-merge groups: after AddLink they are one group,
-	// and the late-join tail replay needs to know which members are new to
-	// which side's event stream.
-	var gFrom, gTo []couple.ObjectRef
-	if s.opts.ReplayTail {
-		gFrom = s.graph.Group(from)
-		gTo = s.graph.Group(to)
+	// Snapshot the two pre-merge groups and their links once, before
+	// AddLink makes them one group: the link delta and the late-join tail
+	// replay both need to know which side each member came from.
+	gFrom, lFrom := s.graph.GroupLinks(from)
+	same := slices.Contains(gFrom, to)
+	var gTo []couple.ObjectRef
+	var lTo []couple.Link
+	if !same {
+		gTo, lTo = s.graph.GroupLinks(to)
 	}
 	if err := s.graph.AddLink(l); err != nil {
 		return err
 	}
 	s.logAppend(eventlog.KindCouple, cl.id, stateID(from), wire.Couple{From: from, To: to})
+	if same {
+		// Every member already mirrors the whole group; only the new link
+		// is news, and there is no foreign event stream to catch up on.
+		s.notifyLinks(gFrom, []couple.Link{l}, true)
+		return nil
+	}
 	s.replayTails(gFrom, gTo)
-	// Replicate the complete transitive closure: every instance owning a
-	// member of the merged group receives every link of the group, so that
-	// "objects already connected to o2 are added to the list of targets, and
-	// objects already connected to o1 are added to the source" (§3.2).
-	// AddLink is idempotent at the mirrors, so re-sending known links is
-	// harmless.
-	members := s.graph.Group(l.From)
-	linkSet := make(map[couple.Link]struct{})
-	for _, m := range members {
-		for _, gl := range s.graph.LinksOf(m) {
-			linkSet[gl] = struct{}{}
-		}
-	}
-	for gl := range linkSet {
-		s.notifyLink(members, gl, true)
-	}
+	// Send the merge as a delta: "objects already connected to o2 are added
+	// to the list of targets, and objects already connected to o1 are added
+	// to the source" (§3.2). Each side receives the other side's links plus
+	// the new one, which is all its mirror lacks.
+	s.notifyLinks(gFrom, append(lTo, l), true)
+	s.notifyLinks(gTo, append(lFrom, l), true)
 	return nil
 }
 
@@ -222,12 +218,33 @@ func (s *Server) handleDecouple(cl *client, seq uint64, m wire.Decouple) {
 		s.reply(cl, seq, fmt.Errorf("server: no link between %s and %s", stateID(m.From), stateID(m.To)))
 		return
 	}
-	s.notifyLink(members, l, false)
+	s.notifyLinks(members, []couple.Link{l}, false)
 	s.logAppend(eventlog.KindDecouple, cl.id, stateID(l.From), wire.Decouple{From: l.From, To: l.To})
 	s.reply(cl, seq, nil)
 }
 
-func (s *Server) notifyLink(members []couple.ObjectRef, l couple.Link, added bool) {
+// instanceGroups returns the coupling groups the instance's objects belong
+// to and every link of those groups.
+func (s *Server) instanceGroups(id couple.InstanceID) (groups [][]couple.ObjectRef, links []couple.Link) {
+	seen := make(map[couple.ObjectRef]bool)
+	for _, l := range s.graph.InstanceLinks(id) {
+		if seen[l.From] {
+			continue
+		}
+		members, gl := s.graph.GroupLinks(l.From)
+		for _, m := range members {
+			seen[m] = true
+		}
+		groups = append(groups, members)
+		links = append(links, gl...)
+	}
+	return groups, links
+}
+
+// notifyLinks sends every link of a run, in order, to each connected
+// instance owning one of members, as LinkAdded (added) or LinkRemoved.
+func (s *Server) notifyLinks(members []couple.ObjectRef, links []couple.Link, added bool) {
+	var targets []*client
 	seen := make(map[couple.InstanceID]bool)
 	for _, m := range members {
 		if seen[m.Instance] {
@@ -235,6 +252,11 @@ func (s *Server) notifyLink(members []couple.ObjectRef, l couple.Link, added boo
 		}
 		seen[m.Instance] = true
 		if c, ok := s.clientOf(m.Instance); ok {
+			targets = append(targets, c)
+		}
+	}
+	for _, c := range targets {
+		for _, l := range links {
 			if added {
 				c.out.send(wire.Envelope{Msg: wire.LinkAdded{Link: l}})
 			} else {
@@ -361,7 +383,7 @@ func (s *Server) dropClient(cl *client, reason string) {
 	}
 	s.graph.RemoveInstance(cl.id)
 	for _, l := range removed {
-		s.notifyLink(pre[l.From], l, false)
+		s.notifyLinks(pre[l.From], []couple.Link{l}, false)
 	}
 
 	// Resolve group-scoped state: events the instance originated are

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,30 +19,51 @@ import (
 
 // mirrorRig runs one server and a fixed number of client slots, each an
 // instance declaring the objects /a and /b. A slot's client is replaced by
-// a fresh instance when the script disconnects it.
+// a fresh instance when the script disconnects it, and resumes its own
+// session when the script severs its connection.
 type mirrorRig struct {
 	t        *testing.T
 	srv      *Server
 	batching bool
 	slots    []*coclient.Client
-	conns    sync.WaitGroup // server-side connection handlers
+	links    []*netsim.Link  // each slot's current connection
+	resynced []chan struct{} // each slot's finished resumes
+	mu       sync.Mutex      // guards links: reconnects dial concurrently
+	conns    sync.WaitGroup  // server-side connection handlers
 }
 
 var mirrorPaths = []string{"/a", "/b"}
 
-func (r *mirrorRig) dial(i int) {
-	r.t.Helper()
-	reg := widget.NewRegistry()
-	widget.MustBuild(reg, "/", "textfield a value=\"\"\ntextfield b value=\"\"")
+// connect opens a connection for slot i and serves it.
+func (r *mirrorRig) connect(i int) (net.Conn, error) {
 	link := netsim.NewLink(0)
+	r.mu.Lock()
+	r.links[i] = link
+	r.mu.Unlock()
 	r.conns.Add(1)
 	go func() {
 		defer r.conns.Done()
 		r.srv.HandleConn(wire.NewConn(link.B))
 	}()
-	c, err := coclient.New(link.A, coclient.Options{
+	return link.A, nil
+}
+
+func (r *mirrorRig) dial(i int) {
+	r.t.Helper()
+	reg := widget.NewRegistry()
+	widget.MustBuild(reg, "/", "textfield a value=\"\"\ntextfield b value=\"\"")
+	conn, _ := r.connect(i)
+	resynced := make(chan struct{}, 1)
+	r.resynced[i] = resynced
+	c, err := coclient.New(conn, coclient.Options{
 		AppType: "app", User: fmt.Sprintf("u%d", i), Host: "mirror", Registry: reg,
 		RPCTimeout: 5 * time.Second, Batching: r.batching,
+		Reconnect: &coclient.ReconnectOptions{
+			Dial:      func() (net.Conn, error) { return r.connect(i) },
+			BaseDelay: time.Millisecond,
+			Seed:      uint64(i + 1),
+			OnResync:  func(error) { resynced <- struct{}{} },
+		},
 	})
 	if err != nil {
 		r.t.Fatalf("dial slot %d: %v", i, err)
@@ -56,32 +78,46 @@ func (r *mirrorRig) dial(i int) {
 
 // step applies one scripted operation. Operations the server refuses (a
 // decouple of an absent link, a couple naming a retracted object) are part
-// of the script and are ignored.
-func (r *mirrorRig) step(rng *rand.Rand) string {
+// of the script and are ignored; step fails only when a severed slot does
+// not finish its resume.
+func (r *mirrorRig) step(rng *rand.Rand) (string, error) {
 	n := len(r.slots)
 	i, j := rng.Intn(n), rng.Intn(n)
 	pi, pj := mirrorPaths[rng.Intn(2)], mirrorPaths[rng.Intn(2)]
 	ci, cj := r.slots[i], r.slots[j]
-	switch k := rng.Intn(10); {
+	switch k := rng.Intn(11); {
 	case k < 5:
 		_ = ci.Couple(pi, cj.Ref(pj))
-		return fmt.Sprintf("couple %d%s-%d%s", i, pi, j, pj)
+		return fmt.Sprintf("couple %d%s-%d%s", i, pi, j, pj), nil
 	case k < 8:
 		_ = ci.Decouple(pi, cj.Ref(pj))
-		return fmt.Sprintf("decouple %d%s-%d%s", i, pi, j, pj)
+		return fmt.Sprintf("decouple %d%s-%d%s", i, pi, j, pj), nil
 	case k < 9:
 		if _, err := ci.Registry().Lookup(pi); err != nil {
 			// Retracted earlier: bring the object back.
 			widget.MustBuild(ci.Registry(), "/", "textfield "+pi[1:]+" value=\"\"")
 			_ = ci.Declare(pi)
-			return fmt.Sprintf("redeclare %d%s", i, pi)
+			return fmt.Sprintf("redeclare %d%s", i, pi), nil
 		}
 		_ = ci.Registry().Destroy(pi) // auto-retracts
-		return fmt.Sprintf("retract %d%s", i, pi)
-	default:
+		return fmt.Sprintf("retract %d%s", i, pi), nil
+	case k < 10:
 		ci.Close()
 		r.dial(i)
-		return fmt.Sprintf("disconnect %d", i)
+		return fmt.Sprintf("disconnect %d", i), nil
+	default:
+		// Sever the connection: the slot's supervisor resumes the same
+		// instance, which the server dropped with all its links meanwhile.
+		r.mu.Lock()
+		link := r.links[i]
+		r.mu.Unlock()
+		link.Close()
+		select {
+		case <-r.resynced[i]:
+		case <-time.After(5 * time.Second):
+			return "", fmt.Errorf("slot %d: no resync within 5s of the sever", i)
+		}
+		return fmt.Sprintf("resume %d", i), nil
 	}
 }
 
@@ -104,8 +140,8 @@ func (r *mirrorRig) divergence() string {
 	return b.String()
 }
 
-// TestMirrorClosureProperty drives random couple, decouple, retract and
-// disconnect scripts over six instances and requires, once traffic has
+// TestMirrorClosureProperty drives random couple, decouple, retract,
+// resume and disconnect scripts over six instances and requires, once traffic has
 // quiesced, every client's mirrored CO(o) to equal the server's closure
 // graph.CO(o) for each of its objects — plain and with wire batching.
 func TestMirrorClosureProperty(t *testing.T) {
@@ -115,7 +151,8 @@ func TestMirrorClosureProperty(t *testing.T) {
 			prop := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				r := &mirrorRig{t: t, srv: New(Options{BatchLimit: batchLimit}),
-					batching: batchLimit > 0, slots: make([]*coclient.Client, 6)}
+					batching: batchLimit > 0, slots: make([]*coclient.Client, 6),
+					links: make([]*netsim.Link, 6), resynced: make([]chan struct{}, 6)}
 				defer func() {
 					r.srv.Close()
 					for _, c := range r.slots {
@@ -128,7 +165,12 @@ func TestMirrorClosureProperty(t *testing.T) {
 				}
 				var script []string
 				for n := 20 + rng.Intn(30); len(script) < n; {
-					script = append(script, r.step(rng))
+					st, err := r.step(rng)
+					if err != nil {
+						t.Errorf("seed %d: after %v: %v", seed, script, err)
+						return false
+					}
+					script = append(script, st)
 				}
 				deadline := time.Now().Add(5 * time.Second)
 				for {

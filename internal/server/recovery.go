@@ -274,19 +274,39 @@ func (s *Server) replayTails(gFrom, gTo []couple.ObjectRef) {
 	if !s.opts.ReplayTail || len(gFrom) == 0 || len(gTo) == 0 {
 		return
 	}
-	s.sendTail(gFrom, gTo)
-	s.sendTail(gTo, gFrom)
+	s.sendTail(gFrom, gTo, 0)
+	s.sendTail(gTo, gFrom, 0)
 }
 
-// sendTail streams the sources' retained events, in event-ID order, to
-// every receiver. Acks for the replayed Execs hit the stale-ack tolerance
-// in ackExec (the events resolved long ago), so the catch-up path needs no
-// bookkeeping of its own.
-func (s *Server) sendTail(sources, receivers []couple.ObjectRef) {
+// catchUpAdopted sends an instance whose pre-restart record a Resume just
+// adopted the events its groups committed since the restart. It had no
+// connection, so handleEvent skipped it, and its re-couples are
+// same-group Couples that replay no tail. Events up to the restored
+// sequence were broadcast to its connection before the restart and are
+// not sent again.
+func (s *Server) catchUpAdopted(id couple.InstanceID, groups [][]couple.ObjectRef) {
+	for _, members := range groups {
+		var own []couple.ObjectRef
+		for _, m := range members {
+			if m.Instance == id {
+				own = append(own, m)
+			}
+		}
+		s.sendTail(members, own, s.restoredSeq)
+	}
+}
+
+// sendTail streams the sources' retained events with IDs above after, in
+// event-ID order, to every receiver. Acks for the replayed Execs hit the
+// stale-ack tolerance in ackExec (the events resolved long ago), so the
+// catch-up path needs no bookkeeping of its own.
+func (s *Server) sendTail(sources, receivers []couple.ObjectRef, after uint64) {
 	var evs []wire.Exec
 	for _, ref := range sources {
 		for _, te := range s.tails[ref] {
-			evs = append(evs, te.exec)
+			if te.exec.EventID > after {
+				evs = append(evs, te.exec)
+			}
 		}
 	}
 	if len(evs) == 0 {

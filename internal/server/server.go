@@ -178,7 +178,10 @@ type Server struct {
 	// couple time (Options.ReplayTail). Bounded by maxTailEvents per ref.
 	tails map[couple.ObjectRef][]tailEvent
 	// eventSeq is the last allocated event ID.
-	eventSeq     uint64
+	eventSeq uint64
+	// restoredSeq is eventSeq as the durable log restored it: every event
+	// with a larger ID was committed by this incarnation.
+	restoredSeq  uint64
 	pendingFetch map[uint64]*fetch
 	sessions     map[string]sessionRec
 	// sessionTok maps an instance to its one outstanding session token, so
@@ -344,6 +347,7 @@ func New(opts Options) *Server {
 		// built databases, so recovery needs no posting or locking discipline.
 		s.elog = opts.EventLog
 		s.replayLog()
+		s.restoredSeq = s.eventSeq
 		s.snap = newSnapshotter(s)
 	}
 	s.wg.Add(1)
@@ -650,6 +654,12 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 	cl.user = reg.User
 	registered := make(chan bool, 1)
 	if !s.post(func() {
+		if s.closing {
+			// Queued behind Close's sweep of the connections: admitting
+			// now would leave this one open past shutdown.
+			registered <- false
+			return
+		}
 		cl.id = s.reg.NewID(reg.AppType)
 		rec := registry.Record{ID: cl.id, AppType: reg.AppType, Host: reg.Host, User: reg.User}
 		if err := s.reg.Register(rec); err != nil {
@@ -679,6 +689,10 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) string {
 	result := make(chan string, 1)
 	if !s.post(func() {
+		if s.closing {
+			result <- "server: shutting down"
+			return
+		}
 		sess, ok := s.sessions[m.Token]
 		if !ok {
 			result <- "server: unknown session token"
@@ -700,7 +714,9 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 		// included — survives as the session's ghost. Resume adopts it
 		// rather than re-registering, which is exactly what makes a kill -9
 		// restart invisible to the reconnecting client.
-		if _, err := s.reg.Lookup(sess.id); err != nil {
+		_, err := s.reg.Lookup(sess.id)
+		adopted := err == nil
+		if !adopted {
 			rec := registry.Record{ID: sess.id, AppType: sess.appType, Host: sess.host, User: sess.user}
 			if err := s.reg.Register(rec); err != nil {
 				result <- "server: resume failed: " + err.Error()
@@ -711,7 +727,18 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 		cl.id = sess.id
 		cl.user = sess.user
 		s.mResumes.Inc()
+		// The resuming client replaces its mirror with the links sent ahead
+		// of the handshake reply: a ghost adopted after a restart still
+		// holds its groups' links; an instance dropped on disconnect holds
+		// none, and its re-couples deliver its groups as ordinary merges.
+		groups, links := s.instanceGroups(cl.id)
+		for _, l := range links {
+			cl.out.send(wire.Envelope{Msg: wire.LinkAdded{Link: l}})
+		}
 		s.admit(cl, env)
+		if adopted {
+			s.catchUpAdopted(cl.id, groups)
+		}
 		result <- ""
 	}) {
 		return "server: shutting down"
